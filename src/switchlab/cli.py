@@ -5,7 +5,8 @@ complex numbers as [re, im] pairs and matrices as row-major arrays.  All
 output is flat CSV (17 significant digits) or JSON rows; identical seeds
 and configs produce byte-identical files.
 
-Exit codes: 0 success, 1 relation failure, 2 config or validation error.
+Exit codes: 0 success, 1 relation failure, 2 config error, 3 internal
+numerical error.
 """
 
 from __future__ import annotations
@@ -372,19 +373,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    if args.samples < 0:
+        raise ConfigError("--samples must be nonnegative")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.samples < 0:
-        print("--samples must be nonnegative", file=sys.stderr)
-        return 2
     try:
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+    except (ArithmeticError, ValueError) as exc:
+        # flags and scenario files are validated before this point
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

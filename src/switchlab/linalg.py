@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small multipartite quantum systems.
 
 Everything operates on plain numpy arrays (complex128, row-major, 0-based).
-Tensor factor 0 is always the leftmost Kronecker factor.  Systems here stay
-tiny (dimension <= ~64), so all routines are dense and favour clarity and
-strict validation over asymptotic cleverness.
+Tensor factor 0 is always the leftmost Kronecker factor.  All routines are
+dense, for joint states of dimension 2nd up to a few hundred (392 at
+n = d = 14), and favour clarity and strict validation over cleverness.
 """
 
 from __future__ import annotations

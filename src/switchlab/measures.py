@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import DensityOperator, partial_trace, von_neumann_entropy
-from .model import order_projectors
+from .model import contract_order, order_basis
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,18 @@ def _matrix_of(rho) -> np.ndarray:
     return np.asarray(rho, dtype=np.complex128)
 
 
+def _snap_unit(value: float) -> float:
+    """Move round-off within 1e-12 outside [0, 1] onto the range; keep larger excursions."""
+    if -1e-12 <= value <= 1.0 + 1e-12:
+        return min(max(value, 0.0), 1.0)
+    return value
+
+
 def l1_coherence(rho, n: int | None = None) -> float:
     """Normalized l1 coherence: sum of off-diagonal magnitudes over (n - 1).
 
     n defaults to the matrix dimension and must match it when given.
+    Round-off within 1e-12 outside [0, 1] is snapped into the range.
     """
     m = _matrix_of(rho)
     if n is None:
@@ -75,14 +83,15 @@ def l1_coherence(rho, n: int | None = None) -> float:
     if n < 2:
         raise ValueError("coherence needs at least a two-dimensional basis")
     off = np.abs(m).sum() - np.abs(np.diag(m)).sum()
-    return float(off) / (n - 1)
+    return _snap_unit(float(off) / (n - 1))
 
 
 def path_distinguishability(priors: Sequence[float], detector_states) -> float:
     """Optimal unambiguous identification probability of the marked path.
 
     Closed form for pure detector ensembles:
-    1 - sum_{i != j} sqrt(p_i p_j) |<d_j|d_i>| / (n - 1).
+    1 - sum_{i != j} sqrt(p_i p_j) |<d_j|d_i>| / (n - 1).  Round-off within
+    1e-12 outside [0, 1] is snapped into the range.
     """
     p = np.asarray(priors, dtype=float)
     if p.ndim != 1 or p.size < 2:
@@ -95,13 +104,10 @@ def path_distinguishability(priors: Sequence[float], detector_states) -> float:
     for i, s in enumerate(states):
         if p[i] > 0.0 and abs(np.linalg.norm(s) - 1.0) > 1e-9:
             raise ValueError(f"detector state {i} is not normalized")
-    n = p.size
-    overlap_sum = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                overlap_sum += math.sqrt(max(p[i] * p[j], 0.0)) * abs(np.vdot(states[j], states[i]))
-    return 1.0 - overlap_sum / (n - 1)
+    weighted = np.sqrt(np.clip(p, 0.0, None))[:, None] * np.array(states)
+    overlaps = np.abs(weighted.conj() @ weighted.T)
+    off_diagonal = overlaps.sum() - np.trace(overlaps)
+    return _snap_unit(1.0 - off_diagonal / (p.size - 1))
 
 
 def causal_coherence(order_weight: float, overlap: complex) -> float:
@@ -127,10 +133,9 @@ def order_interference(rho_o, basis_phase: float) -> tuple[float, float]:
     m = _matrix_of(rho_o)
     if m.shape != (2, 2):
         raise ValueError(f"expected a qubit state, got shape {m.shape}")
-    proj_plus, proj_minus = order_projectors(basis_phase)
-    p_plus = float(np.real(np.trace(proj_plus @ m)))
-    p_minus = float(np.real(np.trace(proj_minus @ m)))
-    return p_plus, p_minus
+    basis = order_basis(basis_phase)
+    p_plus, p_minus = np.einsum("si,ij,sj->s", basis.conj(), m, basis).real
+    return float(p_plus), float(p_minus)
 
 
 def causal_visibility(rho_o, scan_points: int = 720) -> float:
@@ -144,12 +149,12 @@ def causal_visibility(rho_o, scan_points: int = 720) -> float:
     if m.shape != (2, 2):
         raise ValueError(f"expected a qubit state, got shape {m.shape}")
     kappa = complex(m[0, 1])
-    phases = [2.0 * math.pi * k / scan_points for k in range(scan_points)]
-    if abs(kappa) > 0.0:
-        # cosine extremes sit at -arg(kappa) and its antiphase
-        phases.extend([-cmath.phase(kappa), -cmath.phase(kappa) + math.pi])
-    probs = [order_interference(m, phi)[0] for phi in phases]
-    p_max, p_min = max(probs), min(probs)
+    # cosine extremes sit at -arg(kappa) and its antiphase
+    extremes = [-cmath.phase(kappa), -cmath.phase(kappa) + math.pi]
+    phases = np.append(2.0 * math.pi * np.arange(scan_points) / scan_points, extremes)
+    plus = order_basis(phases)[:, 0]
+    probs = np.einsum("ki,ij,kj->k", plus.conj(), m, plus).real
+    p_max, p_min = float(probs.max()), float(probs.min())
     visibility = (p_max - p_min) / (p_max + p_min)
     direct = 2.0 * abs(kappa)
     if abs(visibility - direct) > 1e-10:
@@ -161,15 +166,9 @@ def causal_visibility(rho_o, scan_points: int = 720) -> float:
 
 def binary_entropy(x: float) -> float:
     """Binary entropy in bits; endpoints map to 0."""
-    x = float(x)
-    if x < 0.0:
-        if x < -1e-12:
-            raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-        x = 0.0
-    if x > 1.0:
-        if x > 1.0 + 1e-12:
-            raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-        x = 1.0
+    x = _snap_unit(float(x))
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
@@ -193,25 +192,19 @@ def order_bloch_norm(order_weight: float, causal_coherence_value: float) -> floa
 
 
 def dephase_order(rho: DensityOperator, basis: str) -> DensityOperator:
-    """Dephase the order factor (last tensor factor) in the 'z' or 'x' basis."""
-    if len(rho.dims) != 3 or rho.dims[2] != 2:
-        raise ValueError(f"expected dims (n, d, 2), got {rho.dims}")
+    """Dephase the order factor (last tensor factor) in the 'z' or 'x' basis.
+
+    Returns sum_u sigma_u (x) |u><u| with sigma_u = (I (x) <u|) rho (I (x) |u>).
+    """
     if basis == "z":
-        projs = (
-            np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128),
-            np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128),
-        )
+        vectors = np.eye(2, dtype=np.complex128)
     elif basis == "x":
-        projs = order_projectors(0.0)
+        vectors = order_basis(0.0)
     else:
         raise ValueError(f"unknown measurement basis {basis!r}; use 'z' or 'x'")
-    front = int(np.prod(rho.dims[:-1]))
-    eye = np.eye(front, dtype=np.complex128)
-    out = np.zeros_like(rho.matrix)
-    for proj in projs:
-        big = np.kron(eye, proj)
-        out += big @ rho.matrix @ big
-    return DensityOperator(out, rho.dims)
+    blocks = contract_order(rho, vectors)
+    out = np.einsum("uab,uk,ul->akbl", blocks, vectors, np.conj(vectors))
+    return DensityOperator(out.reshape(rho.matrix.shape), rho.dims)
 
 
 def conditional_entropy_after_measurement(rho: DensityOperator, basis: str) -> float:

@@ -5,6 +5,9 @@ applies an interference unitary on the quanton alone (operation B), and
 routes the two operations through a coherently controlled order qubit.
 Tensor ordering is fixed as quanton (x) detector (x) order qubit, with the
 order qubit as the last factor throughout.
+The branches are built on the (n, d)-shaped amplitudes and the joint state
+by the dense switch unitary, an independent route the relation checks
+compare them against; a scenario memoizes both.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +59,8 @@ class PathPreparation:
             raise ValueError("probabilities and phases must have equal length")
         if len(probs) < 2:
             raise ValueError("need at least two paths")
+        if not all(map(math.isfinite, probs + phases)):
+            raise ValueError("path probabilities and phases must be finite")
         if any(p < 0 for p in probs):
             raise ValueError(f"path probabilities must be nonnegative, got {probs}")
         if abs(sum(probs) - 1.0) > PROBABILITY_SUM_TOL:
@@ -113,9 +119,7 @@ class WhichPathInteraction:
 
     def detector_states(self) -> list[np.ndarray]:
         """The marked detector states |d_i| = V_i |d0>."""
-        e0 = np.zeros(self.detector_dim, dtype=np.complex128)
-        e0[self.initial_index] = 1.0
-        return [v @ e0 for v in self.detector_unitaries]
+        return [v[:, self.initial_index] for v in self.detector_unitaries]
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,9 +155,11 @@ class SwitchScenario:
         p = float(self.order_weight)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"order_weight must lie in [0, 1], got {p}")
+        if not math.isfinite(float(self.order_phase)):
+            raise ValueError(f"order_phase must be finite, got {self.order_phase}")
         if self.order_offdiag is not None:
             k0 = complex(self.order_offdiag)
-            if abs(k0) ** 2 > p * (1.0 - p) + 1e-12:
+            if not abs(k0) ** 2 <= p * (1.0 - p) + 1e-12:
                 raise ValueError(
                     f"order_offdiag magnitude {abs(k0)} violates positivity: "
                     f"|k|^2 <= p(1-p) = {p * (1.0 - p)}"
@@ -187,6 +193,26 @@ class SwitchScenario:
     def has_pure_order(self, tol: float = 1e-12) -> bool:
         p = self.order_weight
         return abs(abs(self.order_offdiagonal()) ** 2 - p * (1.0 - p)) <= tol
+
+    @cached_property
+    def _branches(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only Psi_ab = U_Q (a_i d_i)_i and Psi_ba = ((U_Q a)_i d_i)_i, flattened."""
+        amps = self.preparation.amplitudes()
+        marks = np.array(self.interaction.detector_states())
+        ab = (self.interference @ (amps[:, None] * marks)).ravel()
+        ba = ((self.interference @ amps)[:, None] * marks).ravel()
+        for branch in (ab, ba):
+            branch.setflags(write=False)
+        return ab, ba
+
+    @cached_property
+    def _joint_state(self) -> DensityOperator:
+        u_a = build_which_path_unitary(self.preparation, self.interaction)
+        u_sw = build_switch_unitary(u_a, interference_unitary(self))
+        psi0 = initial_state(self)
+        rho_in = np.kron(np.outer(psi0, np.conj(psi0)), self.order_state())
+        rho = u_sw @ rho_in @ dagger(u_sw)
+        return DensityOperator(rho, (self.n, self.detector_dim, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,14 +279,13 @@ def build_switch_unitary(u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
 
 
 def fixed_order_vector(scenario: SwitchScenario, order: CausalOrder | str) -> np.ndarray:
-    """State vector after applying both operations in the given definite order."""
-    order = CausalOrder(order)
-    u_a = build_which_path_unitary(scenario.preparation, scenario.interaction)
-    u_b = interference_unitary(scenario)
-    psi0 = initial_state(scenario)
-    if order is CausalOrder.A_THEN_B:
-        return u_b @ (u_a @ psi0)
-    return u_a @ (u_b @ psi0)
+    """Read-only state vector after both operations act in the given definite order.
+
+    Built on the (n, d) amplitudes and memoized by the scenario; no
+    joint-space unitary is formed.
+    """
+    ab, ba = scenario._branches
+    return ab if CausalOrder(order) is CausalOrder.A_THEN_B else ba
 
 
 def fixed_order_state(scenario: SwitchScenario, order: CausalOrder | str) -> DensityOperator:
@@ -271,24 +296,17 @@ def fixed_order_state(scenario: SwitchScenario, order: CausalOrder | str) -> Den
 
 def branch_overlap(scenario: SwitchScenario) -> complex:
     """Overlap <Psi_(a-then-b) | Psi_(b-then-a)> of the two order branches."""
-    va = fixed_order_vector(scenario, CausalOrder.A_THEN_B)
-    vb = fixed_order_vector(scenario, CausalOrder.B_THEN_A)
-    return complex(np.vdot(va, vb))
+    return complex(np.vdot(*scenario._branches))
 
 
 def evolve_switch(scenario: SwitchScenario) -> DensityOperator:
     """Global state after the order-controlled evolution, dims (n, d, 2).
 
-    Conjugates (input (x) order preparation) by the switch unitary.  For a
-    pure order preparation the result is rank one.
+    Conjugates (input (x) order preparation) by the dense switch unitary,
+    once per scenario: the result is memoized.  For a pure order
+    preparation it is rank one.
     """
-    u_a = build_which_path_unitary(scenario.preparation, scenario.interaction)
-    u_b = interference_unitary(scenario)
-    u_sw = build_switch_unitary(u_a, u_b)
-    psi0 = initial_state(scenario)
-    rho_in = np.kron(np.outer(psi0, np.conj(psi0)), scenario.order_state())
-    rho = u_sw @ rho_in @ dagger(u_sw)
-    return DensityOperator(rho, (scenario.n, scenario.detector_dim, 2))
+    return scenario._joint_state
 
 
 def reduce_state(rho_tot: DensityOperator, target: str) -> DensityOperator:
@@ -306,11 +324,27 @@ def reduce_state(rho_tot: DensityOperator, target: str) -> DensityOperator:
     return partial_trace(rho_tot, keep)
 
 
-def order_projectors(basis_phase: float) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto (|0> +/- e^{i phi} |1>)/sqrt(2)."""
-    plus = np.array([1.0, cmath.exp(1j * basis_phase)], dtype=np.complex128) / math.sqrt(2.0)
-    minus = np.array([1.0, -cmath.exp(1j * basis_phase)], dtype=np.complex128) / math.sqrt(2.0)
-    return np.outer(plus, np.conj(plus)), np.outer(minus, np.conj(minus))
+def order_basis(basis_phase) -> np.ndarray:
+    """Outcome vectors u_+/- = (|0> +/- e^{i phi}|1>)/sqrt(2) of the phase-phi basis.
+
+    basis_phase may be an array; the result has shape phase.shape + (2, 2),
+    with index -2 the outcome (+, -) and index -1 the order-qubit component.
+    """
+    rot = np.exp(1j * np.asarray(basis_phase, dtype=float))[..., None] * [1.0, -1.0]
+    return np.stack(np.broadcast_arrays(1.0 + 0j, rot), axis=-1) / math.sqrt(2.0)
+
+
+def contract_order(rho_tot: DensityOperator, vectors: np.ndarray) -> np.ndarray:
+    """Blocks sigma_u = (I (x) <u|) rho (I (x) |u>), one per order-qubit vector u.
+
+    vectors has shape (k, 2); the result has shape (k, n d, n d) and each
+    block is the unnormalized quanton-detector state of outcome u.
+    """
+    if len(rho_tot.dims) != 3 or rho_tot.dims[2] != 2:
+        raise ValueError(f"expected dims (n, d, 2), got {rho_tot.dims}")
+    front = rho_tot.dim // 2
+    ket = (rho_tot.matrix.reshape(-1, 2) @ vectors.T).reshape(front, 2, front, -1)
+    return np.einsum("uk,akbu->uab", np.conj(vectors), ket)
 
 
 def post_select(
@@ -322,22 +356,17 @@ def post_select(
     one; an outcome with probability below DEGENERATE_PROBABILITY carries
     no conditional state.
     """
-    if len(rho_tot.dims) != 3 or rho_tot.dims[2] != 2:
-        raise ValueError(f"expected dims (n, d, 2), got {rho_tot.dims}")
+    blocks = contract_order(rho_tot, order_basis(basis_phase))
     n, d, _ = rho_tot.dims
-    eye_qd = np.eye(n * d, dtype=np.complex128)
     results = []
-    for outcome, proj in zip("+-", order_projectors(basis_phase)):
-        big = np.kron(eye_qd, proj)
-        selected = big @ rho_tot.matrix @ big
+    for outcome, selected in zip("+-", blocks):
         prob = max(float(np.real(np.trace(selected))), 0.0)
         if prob < DEGENERATE_PROBABILITY:
             results.append(
                 PostSelectionResult(outcome, prob, None, None, None, degenerate=True)
             )
             continue
-        conditional = DensityOperator(selected / prob, (n, d, 2))
-        cond_qd = partial_trace(conditional, (0, 1))
+        cond_qd = DensityOperator(selected / prob, (n, d))
         cond_q = partial_trace(cond_qd, (0,))
         gamma = complex(cond_q.matrix[0, 1])
         results.append(PostSelectionResult(outcome, prob, cond_qd, cond_q, gamma))
@@ -359,14 +388,8 @@ def path_ensemble(
     """
     components = np.asarray(vector, dtype=np.complex128).reshape(n, detector_dim)
     priors = np.sum(np.abs(components) ** 2, axis=1)
-    states = []
-    for i in range(n):
-        if priors[i] > 0.0:
-            states.append(components[i] / np.sqrt(priors[i]))
-        else:
-            placeholder = np.zeros(detector_dim, dtype=np.complex128)
-            placeholder[0] = 1.0
-            states.append(placeholder)
+    placeholder = np.eye(1, detector_dim, dtype=np.complex128)[0]
+    states = [c / np.sqrt(w) if w > 0.0 else placeholder for c, w in zip(components, priors)]
     return priors, states
 
 

@@ -36,8 +36,10 @@ from .model import (
     PathPreparation,
     SwitchScenario,
     WhichPathInteraction,
+    branch_overlap,
     evolve_switch,
     explicit_realization,
+    fixed_order_state,
     fixed_order_vector,
     path_ensemble,
     post_select,
@@ -213,13 +215,10 @@ def random_symmetric_scenario(seed: int) -> SwitchScenario:
 
 def _branch_duality(scenario: SwitchScenario, order: CausalOrder) -> tuple[float, float]:
     """(coherence, distinguishability) of one definite-order branch."""
-    vec = fixed_order_vector(scenario, order)
     n, d = scenario.n, scenario.detector_dim
-    rho_q = partial_trace(
-        DensityOperator(np.outer(vec, np.conj(vec)), (n, d)), (0,)
-    )
-    coherence = l1_coherence(rho_q.matrix, n)
-    priors, states = path_ensemble(vec, n, d)
+    rho_q = partial_trace(fixed_order_state(scenario, order), (0,))
+    coherence = l1_coherence(rho_q, n)
+    priors, states = path_ensemble(fixed_order_vector(scenario, order), n, d)
     disting = path_distinguishability(priors, states)
     return coherence, disting
 
@@ -445,14 +444,14 @@ def nogo_counterexample(order_weight: float) -> NoGoCounterexample:
             f"order weight {p} admits no superposition of orders; need 0 < p < 1"
         )
     scenario = explicit_realization(order_weight=p)
-    quantities = spatial_summary(scenario)
+    return NoGoCounterexample(*_duality_point(scenario), scenario_fingerprint(scenario))
+
+
+def _duality_point(scenario: SwitchScenario) -> tuple[float, float, float]:
+    """(spatial coherence, distinguishability bound, causal coherence) of one scenario."""
+    q = spatial_summary(scenario)
     rho_o = reduce_state(evolve_switch(scenario), "o")
-    return NoGoCounterexample(
-        quantities["spatial_coherence"],
-        quantities["distinguishability_bound"],
-        2.0 * abs(complex(rho_o.matrix[0, 1])),
-        scenario_fingerprint(scenario),
-    )
+    return q["spatial_coherence"], q["distinguishability_bound"], l1_coherence(rho_o)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +503,9 @@ def region_sweep(p_values=21, overlap_values=21) -> list[RegionPoint]:
     for p in p_values:
         for w in overlap_values:
             scenario = region_scenario(float(p), float(w))
-            quantities = spatial_summary(scenario)
-            rho_o = reduce_state(evolve_switch(scenario), "o")
-            x = quantities["spatial_coherence"] + quantities["distinguishability_bound"]
-            y = 2.0 * abs(complex(rho_o.matrix[0, 1]))
-            points.append(
-                RegionPoint(x, y, float(p), float(w), scenario_fingerprint(scenario))
-            )
+            c_q, d_bound, y = _duality_point(scenario)
+            fp = scenario_fingerprint(scenario)
+            points.append(RegionPoint(c_q + d_bound, y, float(p), float(w), fp))
     return points
 
 
@@ -535,8 +530,7 @@ def check_entropic_bound(
     entropy_x = conditional_entropy_after_measurement(rho_tot, "x")
     rho_o = reduce_state(rho_tot, "o")
     order_entropy = von_neumann_entropy(rho_o)
-    coherence = 2.0 * abs(complex(rho_o.matrix[0, 1]))
-    bloch = order_bloch_norm(scenario.order_weight, coherence)
+    bloch = order_bloch_norm(scenario.order_weight, l1_coherence(rho_o))
     if rho_tot.is_pure(1e-10):
         bound = 1.0 - order_entropy
     else:
@@ -572,10 +566,7 @@ def check_overlap_lemma(
     n = scenario.n
     dims = (n, d)
     p = scenario.order_weight
-    states = {}
-    for order in CausalOrder:
-        vec = fixed_order_vector(scenario, order)
-        states[order] = DensityOperator(np.outer(vec, np.conj(vec)), dims)
+    states = {order: fixed_order_state(scenario, order) for order in CausalOrder}
     baseline = helstrom_guess(
         DiscriminationProblem(p, states[CausalOrder.A_THEN_B], states[CausalOrder.B_THEN_A])
     )
@@ -610,31 +601,17 @@ def scenario_quantities(
 ) -> dict[str, float]:
     """Every scalar quantity of interest for one scenario, pipeline-computed."""
     quantities = dict(spatial_summary(scenario))
-    rho_tot = evolve_switch(scenario)
-    rho_o = reduce_state(rho_tot, "o")
-    coherence = 2.0 * abs(complex(rho_o.matrix[0, 1]))
+    rho_o = reduce_state(evolve_switch(scenario), "o")
     p_plus, p_minus = order_interference(rho_o, basis_phase)
     report, _ = check_entropic_bound(scenario)
     problem = DiscriminationProblem(
         scenario.order_weight,
-        DensityOperator(
-            np.outer(
-                fixed_order_vector(scenario, CausalOrder.A_THEN_B),
-                np.conj(fixed_order_vector(scenario, CausalOrder.A_THEN_B)),
-            ),
-            (scenario.n, scenario.detector_dim),
-        ),
-        DensityOperator(
-            np.outer(
-                fixed_order_vector(scenario, CausalOrder.B_THEN_A),
-                np.conj(fixed_order_vector(scenario, CausalOrder.B_THEN_A)),
-            ),
-            (scenario.n, scenario.detector_dim),
-        ),
+        fixed_order_state(scenario, CausalOrder.A_THEN_B),
+        fixed_order_state(scenario, CausalOrder.B_THEN_A),
     )
     quantities.update(
         {
-            "causal_coherence": coherence,
+            "causal_coherence": l1_coherence(rho_o),
             "causal_visibility": causal_visibility(rho_o),
             "p_plus": p_plus,
             "p_minus": p_minus,
@@ -672,18 +649,12 @@ def verify_scenario(
     ]
     checks.extend(check_ico_duality(scenario, tol, fp))
 
-    rho_tot = evolve_switch(scenario)
-    rho_o = reduce_state(rho_tot, "o")
-    kappa = complex(rho_o.matrix[0, 1])
-    overlap = np.vdot(
-        fixed_order_vector(scenario, CausalOrder.A_THEN_B),
-        fixed_order_vector(scenario, CausalOrder.B_THEN_A),
-    )
+    rho_o = reduce_state(evolve_switch(scenario), "o")
     checks.append(
         RelationCheck(
             "causal-visibility",
             causal_visibility(rho_o),
-            2.0 * abs(scenario.order_offdiagonal()) * abs(overlap),
+            2.0 * abs(scenario.order_offdiagonal()) * abs(branch_overlap(scenario)),
             "eq",
             tol,
             fp,

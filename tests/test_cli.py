@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import switchlab.relations as relations
 from switchlab.cli import ConfigError, load_scenario, main, parse_config
 from switchlab.model import SwitchScenario
 
@@ -93,6 +94,60 @@ def test_parse_config_rejects_positivity_violation(tmp_path, capsys):
     assert "order_offdiag" in err
 
 
+def test_parse_config_rejects_nan_probability(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    text = json.dumps(ORTHOGONAL_BRANCH_CONFIG).replace("[1.0, 0.0]", "[NaN, 1.0]", 1)
+    path.write_text(text)
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# flag validation and exit codes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tol", "-1"),
+        ("--tol", "0"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
+        ("--samples", "-1"),
+    ],
+)
+def test_invalid_flag_is_config_error(flag, value, capsys):
+    assert main(["verify", "--samples", "0", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main(["run", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+
+
+def test_internal_arithmetic_failure_exits_3(monkeypatch, capsys):
+    def broken_scan(rho_o):
+        raise ArithmeticError("visibility scan disagrees")
+
+    monkeypatch.setattr(relations, "causal_visibility", broken_scan)
+    assert main(["verify", "--samples", "0"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: visibility scan")
+
+
+def test_internal_validation_failure_exits_3(monkeypatch, capsys):
+    def broken_quantities(scenario, basis_phase=0.0):
+        raise ValueError("density matrix has negative eigenvalue -3.7e-10")
+
+    monkeypatch.setattr(relations, "scenario_quantities", broken_quantities)
+    assert main(["run"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: density matrix")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -145,6 +200,25 @@ def test_run_reports_flagship_quantities(tmp_path):
     assert values["distinguishability_bound"] == pytest.approx(1.0, abs=1e-12)
     assert values["causal_coherence"] == pytest.approx(1.0, abs=1e-12)
     assert values["nogo_margin"] == pytest.approx(0.1, abs=1e-12)
+
+
+def test_run_keeps_unit_range_values_exact(tmp_path):
+    out = tmp_path / "no_marking.csv"
+    assert main(["run", "--scenario", "no-marking", "--out", str(out)]) == 0
+    values = {row["quantity"]: row["value"] for row in _read_csv(out)}
+    for name in (
+        "spatial_coherence",
+        "coherence_a_then_b",
+        "coherence_b_then_a",
+        "causal_coherence",
+    ):
+        assert values[name] == "1", name
+    for name in (
+        "distinguishability_a_then_b",
+        "distinguishability_b_then_a",
+        "distinguishability_bound",
+    ):
+        assert values[name] == "0", name
 
 
 # ---------------------------------------------------------------------------

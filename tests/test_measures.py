@@ -25,6 +25,7 @@ from switchlab.model import (
     reduce_state,
 )
 from switchlab.relations import random_scenario
+import switchlab.measures as measures
 
 from conftest import random_density, random_pure_vector
 
@@ -107,6 +108,16 @@ def test_distinguishability_rejects_unnormalized():
         path_distinguishability((0.5, 0.5), [np.array([2.0, 0]), np.array([0, 1.0])])
 
 
+def test_unit_range_round_off_is_snapped_and_violations_kept():
+    assert l1_coherence(np.full((2, 2), 0.5 + 4e-13)) == 1.0
+    assert l1_coherence(np.full((2, 2), 0.5 + 1e-9)) == pytest.approx(1 + 2e-9, abs=1e-15)
+    d0 = np.array([1.0, 0.0])
+    assert path_distinguishability((0.5, 0.5), [d0, d0 * (1 + 1e-13)]) == 0.0
+    assert path_distinguishability((0.5, 0.5), [d0, d0 * (1 + 1e-10)]) == pytest.approx(
+        -1e-10, abs=1e-15
+    )
+
+
 # ---------------------------------------------------------------------------
 # causal coherence
 # ---------------------------------------------------------------------------
@@ -184,6 +195,24 @@ def test_causal_visibility_matches_offdiagonal():
     assert causal_visibility(rho_o) == pytest.approx(
         2 * abs(rho_o.matrix[0, 1]), abs=1e-9
     )
+
+
+def test_causal_visibility_scans_all_phases_at_once(monkeypatch):
+    calls = []
+
+    def counted_basis(phase):
+        calls.append(np.shape(phase))
+        return basis(phase)
+
+    def forbidden(*args):
+        raise AssertionError("per-phase order_interference call")
+
+    basis = measures.order_basis
+    monkeypatch.setattr(measures, "order_basis", counted_basis)
+    monkeypatch.setattr(measures, "order_interference", forbidden)
+    rho_o = reduce_state(evolve_switch(random_scenario(78)), "o")
+    assert causal_visibility(rho_o) == pytest.approx(2 * abs(rho_o.matrix[0, 1]), abs=1e-10)
+    assert calls == [(722,)]
 
 
 def test_visibility_equals_causal_coherence_for_pure_preparations():

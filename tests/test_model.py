@@ -1,6 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import switchlab.model as model
 
 from switchlab.linalg import is_unitary, trace_norm
 from switchlab.model import (
@@ -16,10 +22,12 @@ from switchlab.model import (
     fixed_order_state,
     fixed_order_vector,
     initial_state,
+    interference_unitary,
     no_marking,
     post_select,
     reduce_state,
 )
+from switchlab.measures import dephase_order
 from switchlab.relations import random_scenario
 
 from conftest import random_unitary
@@ -138,6 +146,60 @@ def test_switch_unitary_is_unitary_for_random_scenarios():
         u_a = build_which_path_unitary(scn.preparation, scn.interaction)
         u_b = np.kron(scn.interference, np.eye(scn.detector_dim))
         assert is_unitary(build_switch_unitary(u_a, u_b))
+
+
+# ---------------------------------------------------------------------------
+# branch pair against the dense unitaries
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.booleans(),
+)
+def test_branch_pair_matches_dense_route(seed, n, d, mixed):
+    scn = random_scenario(seed, n_paths=n, detector_dim=d, mixed_order=mixed)
+    u_a = build_which_path_unitary(scn.preparation, scn.interaction)
+    u_b = interference_unitary(scn)
+    psi0 = initial_state(scn)
+    va = fixed_order_vector(scn, CausalOrder.A_THEN_B)
+    vb = fixed_order_vector(scn, CausalOrder.B_THEN_A)
+    assert np.abs(va - u_b @ u_a @ psi0).max() <= 1e-12
+    assert np.abs(vb - u_a @ u_b @ psi0).max() <= 1e-12
+    # rho = A K A^dagger with A = [Psi_ab (x) |0>, Psi_ba (x) |1>]
+    a = np.stack([np.kron(va, [1.0, 0.0]), np.kron(vb, [0.0, 1.0])], axis=1)
+    want = a @ scn.order_state() @ a.conj().T
+    assert np.abs(evolve_switch(scn).matrix - want).max() <= 1e-12
+
+
+def test_fixed_order_vector_builds_no_joint_unitary(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("joint-space unitary built")
+
+    monkeypatch.setattr(model, "build_which_path_unitary", forbidden)
+    monkeypatch.setattr(model, "interference_unitary", forbidden)
+    scn = random_scenario(8, n_paths=4, detector_dim=3)
+    for order in CausalOrder:
+        assert fixed_order_vector(scn, order).shape == (12,)
+
+
+def test_scenario_memo_is_read_only_and_per_instance():
+    scn = random_scenario(19)
+    assert evolve_switch(scn) is evolve_switch(scn)
+    for order in CausalOrder:
+        vec = fixed_order_vector(scn, order)
+        assert vec is fixed_order_vector(scn, order)
+        assert not vec.flags.writeable
+    assert not evolve_switch(scn).matrix.flags.writeable
+    moved = dataclasses.replace(scn, order_weight=0.25)
+    rho_o = reduce_state(evolve_switch(moved), "o")
+    assert rho_o.matrix[0, 0].real == pytest.approx(0.25, abs=1e-12)
+    assert reduce_state(evolve_switch(scn), "o").matrix[0, 0].real == pytest.approx(
+        scn.order_weight, abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +351,39 @@ def test_post_select_probabilities_sum_to_one(rng):
         assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-10)
 
 
+def test_post_select_near_degenerate_outcome_stays_valid():
+    # p_minus is about 1.6e-8 here: small enough that forming P rho P in
+    # one contraction once left a conditional eigenvalue below -PSD_TOL
+    plus, minus = post_select(evolve_switch(explicit_realization()), 2.5292014667599753e-4)
+    for result in (plus, minus):
+        assert not result.degenerate
+        assert np.trace(result.conditional_qd.matrix).real == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(result.conditional_qd.matrix).min() >= -1e-10
+        assert np.linalg.eigvalsh(result.conditional_q.matrix).min() >= -1e-10
+    assert minus.probability == pytest.approx(1.6e-8, rel=0.01)
+
+
+def test_order_factor_is_contracted_without_kronecker_projectors(monkeypatch):
+    scn = random_scenario(29, mixed_order=True)
+    rho_tot = evolve_switch(scn)
+    p = scn.order_weight
+    rho_ab = fixed_order_state(scn, CausalOrder.A_THEN_B).matrix
+    rho_ba = fixed_order_state(scn, CausalOrder.B_THEN_A).matrix
+
+    def forbidden(*args):
+        raise AssertionError("Kronecker product formed")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    plus, minus = post_select(rho_tot, 0.4)
+    dephased = dephase_order(rho_tot, "z")
+    monkeypatch.undo()
+    assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-12)
+    want = p * np.kron(rho_ab, np.diag([1.0, 0.0])) + (1 - p) * np.kron(
+        rho_ba, np.diag([0.0, 1.0])
+    )
+    assert np.abs(dephased.matrix - want).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -314,4 +409,21 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         SwitchScenario(
             base.preparation, base.interaction, base.interference, 1.7, 0.0
+        )
+    with pytest.raises(ValueError, match="finite"):
+        PathPreparation((float("nan"), 1.0), (0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        PathPreparation((0.5, 0.5), (0.0, float("inf")))
+    with pytest.raises(ValueError, match="finite"):
+        SwitchScenario(
+            base.preparation, base.interaction, base.interference, 0.5, float("nan")
+        )
+    with pytest.raises(ValueError, match="order_offdiag"):
+        SwitchScenario(
+            base.preparation,
+            base.interaction,
+            base.interference,
+            0.5,
+            0.0,
+            order_offdiag=complex("nan"),
         )

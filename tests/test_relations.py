@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import switchlab.model as model
 from switchlab.measures import binary_entropy
 from switchlab.model import (
     CausalOrder,
@@ -299,6 +300,27 @@ def test_verify_battery_all_hold():
         checks = verify_scenario(random_scenario(seed), seed=seed)
         assert all(c.holds for c in checks), [c for c in checks if not c.holds]
         assert all(c.context == checks[0].context for c in checks)
+
+
+def test_verify_scenario_evolves_each_scenario_once(monkeypatch):
+    builds = []
+    build = model.build_switch_unitary
+
+    def counted(u_a, u_b):
+        builds.append(u_a.shape)
+        return build(u_a, u_b)
+
+    monkeypatch.setattr(model, "build_switch_unitary", counted)
+    for scn in (
+        random_scenario(5),
+        random_scenario(6, mixed_order=True),
+        random_symmetric_scenario(7),
+    ):
+        builds.clear()
+        checks = verify_scenario(scn, seed=1)
+        assert all(c.holds for c in checks)
+        # once for the scenario, once for the no-go counterexample
+        assert len(builds) <= 2
 
 
 def test_relation_check_holds_is_recomputed():
