@@ -50,12 +50,31 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_number(value, field: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"field {field!r}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _as_integer(value, field: str, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"field {field!r}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _as_numbers(values, count: int, field: str) -> tuple[float, ...]:
+    if not isinstance(values, list) or len(values) != count:
+        raise ConfigError(f"field {field!r}: expected {count} numbers")
+    return tuple(_as_number(v, f"{field}[{i}]") for i, v in enumerate(values))
+
+
 def _as_complex(value, field: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise ConfigError(f"field {field!r}: expected a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
 
@@ -97,12 +116,9 @@ def parse_config(path: str) -> SwitchScenario:
     if not isinstance(probabilities, list) or len(probabilities) < 2:
         raise ConfigError("field 'probabilities': expected a list of at least two numbers")
     n = len(probabilities)
-    phases = config.get("phases", [0.0] * n)
-    if not isinstance(phases, list) or len(phases) != n:
-        raise ConfigError(f"field 'phases': expected {n} numbers")
-    detector_dim = _require(config, "detector_dim")
-    if not isinstance(detector_dim, int) or detector_dim < 1:
-        raise ConfigError("field 'detector_dim': expected a positive integer")
+    probabilities = _as_numbers(probabilities, n, "probabilities")
+    phases = _as_numbers(config.get("phases", [0.0] * n), n, "phases")
+    detector_dim = _as_integer(_require(config, "detector_dim"), "detector_dim", 1)
     unitaries = _require(config, "detector_unitaries")
     if not isinstance(unitaries, list) or len(unitaries) != n:
         raise ConfigError(f"field 'detector_unitaries': expected {n} matrices")
@@ -113,15 +129,18 @@ def parse_config(path: str) -> SwitchScenario:
     interference = _as_matrix(
         _require(config, "interference_unitary"), n, "interference_unitary"
     )
-    order_weight = _require(config, "order_weight")
-    order_phase = config.get("order_phase", 0.0)
+    order_weight = _as_number(_require(config, "order_weight"), "order_weight")
+    order_phase = _as_number(config.get("order_phase", 0.0), "order_phase")
+    initial_index = _as_integer(
+        config.get("initial_detector_index", 0), "initial_detector_index", 0
+    )
     offdiag = None
     if config.get("order_offdiag") is not None:
         offdiag = _as_complex(config["order_offdiag"], "order_offdiag")
 
     try:
-        preparation = PathPreparation(tuple(probabilities), tuple(phases))
-        interaction = WhichPathInteraction(mats, int(config.get("initial_detector_index", 0)))
+        preparation = PathPreparation(probabilities, phases)
+        interaction = WhichPathInteraction(mats, initial_index)
         return SwitchScenario(
             preparation, interaction, interference, order_weight, order_phase, offdiag
         )
@@ -192,6 +211,8 @@ def _parse_axis(spec: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
         steps = int(parts[3])
     except ValueError as exc:
         raise ConfigError(f"axis {spec!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"--axis {spec!r}: start and stop must be finite")
     if steps < 1:
         raise ConfigError(f"axis {spec!r}: steps must be positive")
     return name, np.linspace(start, stop, steps)
@@ -282,6 +303,11 @@ def cmd_sweep(args) -> int:
     if len(set(names)) != len(names):
         raise ConfigError("sweep axes must be distinct")
     base = load_scenario(args.scenario, args.seed)
+    if "theta" in names and base.order_offdiag is not None:
+        raise ConfigError(
+            "axis 'theta' has no effect: the scenario sets order_offdiag, "
+            "which fixes the order-qubit off-diagonal"
+        )
     grids = [values for _, values in axes]
     mesh = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")]
     rows = []
@@ -378,6 +404,8 @@ def _check_flags(args) -> None:
         raise ConfigError("--samples must be nonnegative")
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
+    if not math.isfinite(args.alpha):
+        raise ConfigError(f"--alpha must be finite, got {args.alpha}")
     if not 0 <= args.seed < 2**64:
         raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
 

@@ -9,7 +9,7 @@ n = d = 14), and favour clarity and strict validation over cleverness.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -102,11 +102,17 @@ class DensityOperator:
     dims lists the tensor factor dimensions left to right; their product
     must equal the matrix dimension.  Construction checks Hermiticity,
     unit trace and positivity (up to the module tolerances), so any
-    DensityOperator in flight is a physical state.
+    DensityOperator in flight is a physical state.  The positivity check
+    computes the spectrum once; it is kept read-only in `spectrum`, and
+    eigenvalues() and von_neumann_entropy reuse it.  partial_trace
+    memoizes each reduction of the (immutable) state.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    #: ascending eigvalsh spectrum from validation, unclamped and read-only
+    spectrum: np.ndarray = field(init=False, repr=False)
+    _reductions: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
@@ -125,23 +131,27 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix has trace {tr}, expected 1")
-        lo = float(np.linalg.eigvalsh(m).min())
+        spectrum = np.linalg.eigvalsh(m)
+        lo = float(spectrum.min())
         if lo < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo}")
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum, clamped to [0, 1]."""
-        return np.clip(np.linalg.eigvalsh(self.matrix), 0.0, 1.0)
+        """Ascending spectrum, clamped to [0, 1]; reuses the validation spectrum."""
+        return np.clip(self.spectrum, 0.0, 1.0)
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """Tr rho^2, as the sum of |rho_ij|^2 (rho is Hermitian)."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def is_pure(self, tol: float = PSD_TOL) -> bool:
         return self.purity() >= 1.0 - tol
@@ -174,15 +184,20 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
 
     Returns
     -------
-    DensityOperator on the kept factors; the trace is preserved.
+    DensityOperator on the kept factors; the trace is preserved.  The
+    reduction is memoized on rho, keyed by the sorted kept factors, so
+    repeated calls return the same (validated once) object.
     """
     dims = rho.dims
-    keep_sorted = sorted(set(int(k) for k in keep))
+    keep_sorted = tuple(sorted(set(int(k) for k in keep)))
+    reduced = rho._reductions.get(keep_sorted)
+    if reduced is not None:
+        return reduced
     if not keep_sorted:
         raise ValueError("partial_trace: keep must be a nonempty set of indices")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= len(dims):
         raise ValueError(
-            f"partial_trace: invalid subsystem index in {keep_sorted} "
+            f"partial_trace: invalid subsystem index in {list(keep_sorted)} "
             f"for {len(dims)} factors"
         )
     n = len(dims)
@@ -198,15 +213,18 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     spec = "".join(row) + "".join(col) + "->" + out
     tensor = rho.matrix.reshape(dims + dims)
     kept_dim = int(np.prod([dims[i] for i in keep_sorted]))
-    reduced = np.einsum(spec, tensor).reshape(kept_dim, kept_dim)
-    return DensityOperator(reduced, tuple(dims[i] for i in keep_sorted))
+    matrix = np.einsum(spec, tensor).reshape(kept_dim, kept_dim)
+    reduced = DensityOperator(matrix, tuple(dims[i] for i in keep_sorted))
+    rho._reductions[keep_sorted] = reduced
+    return reduced
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Von Neumann entropy in bits, with 0 log 0 := 0.
 
-    Eigenvalues are clamped to [0, 1] before taking logs; the clamping
-    window is enforced by the DensityOperator invariants.
+    Uses the spectrum that validation computed, clamped to [0, 1] before
+    taking logs; the clamping window is enforced by the DensityOperator
+    invariants.  No new eigendecomposition runs.
     """
     ev = rho.eigenvalues()
     nonzero = ev[ev > 0.0]

@@ -7,7 +7,8 @@ Tensor ordering is fixed as quanton (x) detector (x) order qubit, with the
 order qubit as the last factor throughout.
 The branches are built on the (n, d)-shaped amplitudes and the joint state
 by the dense switch unitary, an independent route the relation checks
-compare them against; a scenario memoizes both.
+compare them against; a scenario memoizes both, and the two fixed-order
+density operators.
 """
 
 from __future__ import annotations
@@ -206,6 +207,12 @@ class SwitchScenario:
         return ab, ba
 
     @cached_property
+    def _fixed_order_states(self) -> tuple[DensityOperator, DensityOperator]:
+        """The two branches as pure (n, d) density operators, validated once."""
+        dims = (self.n, self.detector_dim)
+        return tuple(pure_state_density(branch, dims) for branch in self._branches)
+
+    @cached_property
     def _joint_state(self) -> DensityOperator:
         u_a = build_which_path_unitary(self.preparation, self.interaction)
         u_sw = build_switch_unitary(u_a, interference_unitary(self))
@@ -289,9 +296,12 @@ def fixed_order_vector(scenario: SwitchScenario, order: CausalOrder | str) -> np
 
 
 def fixed_order_state(scenario: SwitchScenario, order: CausalOrder | str) -> DensityOperator:
-    """Pure quanton-detector state of one definite causal order, dims (n, d)."""
-    vec = fixed_order_vector(scenario, order)
-    return pure_state_density(vec, (scenario.n, scenario.detector_dim))
+    """Pure quanton-detector state of one definite causal order, dims (n, d).
+
+    Memoized by the scenario next to the branch pair it is built from.
+    """
+    ab, ba = scenario._fixed_order_states
+    return ab if CausalOrder(order) is CausalOrder.A_THEN_B else ba
 
 
 def branch_overlap(scenario: SwitchScenario) -> complex:

@@ -102,6 +102,32 @@ def test_parse_config_rejects_nan_probability(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("order_weight", [0.5]),
+        ("order_weight", "0.5"),
+        ("order_weight", True),
+        ("order_phase", None),
+        ("initial_detector_index", [0]),
+        ("initial_detector_index", 0.5),
+        ("probabilities", [[1.0], 0.0]),
+        ("phases", [0.0, "0"]),
+        ("detector_dim", True),
+        ("order_offdiag", [False, 0.0]),
+    ],
+)
+def test_parse_config_rejects_wrongly_typed_values(tmp_path, capsys, field, value):
+    config = dict(ORTHOGONAL_BRANCH_CONFIG, **{field: value})
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigError, match=field):
+        parse_config(str(path))
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
 # ---------------------------------------------------------------------------
 # flag validation and exit codes
 # ---------------------------------------------------------------------------
@@ -117,6 +143,8 @@ def test_parse_config_rejects_nan_probability(tmp_path, capsys):
         ("--seed", "-1"),
         ("--seed", str(2**64)),
         ("--samples", "-1"),
+        ("--alpha", "nan"),
+        ("--alpha", "inf"),
     ],
 )
 def test_invalid_flag_is_config_error(flag, value, capsys):
@@ -290,6 +318,33 @@ def test_sweep_two_axes_and_errors(tmp_path):
         == 2
     )
     assert main(["sweep"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, axis",
+    [
+        ("sweep", "phi:0:nan:3"),
+        ("sweep", "p:inf:1:3"),
+        ("region", "p:nan:1:3"),
+        ("region", "overlap:-1:inf:3"),
+    ],
+)
+def test_non_finite_axis_endpoint_is_config_error(capsys, command, axis):
+    assert main([command, "--axis", axis]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--axis" in err
+
+
+def test_theta_axis_with_order_offdiag_is_config_error(tmp_path, capsys):
+    config = dict(ORTHOGONAL_BRANCH_CONFIG, order_offdiag=[0.25, 0.0])
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--scenario", str(path), "--axis", "theta:0:1:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "theta" in err and "order_offdiag" in err
+    out = tmp_path / "p.csv"
+    code = main(["sweep", "--scenario", str(path), "--axis", "p:0.4:0.6:3", "--out", str(out)])
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -263,3 +263,39 @@ def test_density_operator_rejects_bad_inputs(rng):
         DensityOperator(np.eye(4) / 4, (2,))  # dims mismatch
     with pytest.raises(ValueError):
         pure_state_density(np.array([1.0, 1.0]), (2,))  # unnormalized
+
+
+def test_validation_spectrum_is_reused_and_read_only(rng, monkeypatch):
+    rho = random_density((3, 2), rng)
+    spectrum = np.linalg.eigvalsh(rho.matrix)
+    assert np.array_equal(rho.spectrum, spectrum)
+    assert not rho.spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        rho.spectrum[0] = 0.5
+
+    def forbidden(m):
+        raise AssertionError("eigvalsh called after construction")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    assert np.array_equal(rho.eigenvalues(), np.clip(spectrum, 0.0, 1.0))
+    h = -(spectrum * np.log2(spectrum)).sum()
+    assert von_neumann_entropy(rho) == pytest.approx(h, abs=1e-12)
+
+
+def test_purity_is_trace_of_square(rng):
+    for rank in (1, 2, 6):
+        rho = random_density((3, 2), rng, rank=rank)
+        want = np.trace(rho.matrix @ rho.matrix).real
+        assert rho.purity() == pytest.approx(want, abs=1e-14)
+    assert pure_state_density(random_pure_vector(6, rng), (6,)).is_pure()
+
+
+def test_partial_trace_is_memoized_per_state(rng):
+    rho = random_density((2, 3, 2), rng)
+    reduced = partial_trace(rho, (0, 1))
+    assert partial_trace(rho, (1, 0)) is reduced
+    assert partial_trace(rho, [0, 1, 1]) is reduced
+    assert partial_trace(rho, (2,)) is not reduced
+    fresh = DensityOperator(rho.matrix, rho.dims)
+    assert partial_trace(fresh, (0, 1)) is not reduced
+    assert np.array_equal(partial_trace(fresh, (0, 1)).matrix, reduced.matrix)

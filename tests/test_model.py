@@ -202,6 +202,19 @@ def test_scenario_memo_is_read_only_and_per_instance():
     )
 
 
+def test_fixed_order_states_are_memoized_per_instance():
+    scn = random_scenario(23, mixed_order=True)
+    states = [fixed_order_state(scn, order) for order in CausalOrder]
+    for order, state in zip(CausalOrder, states):
+        assert fixed_order_state(scn, order) is state
+        assert fixed_order_state(scn, order.value) is state
+        vec = fixed_order_vector(scn, order)
+        assert_allclose(state.matrix, np.outer(vec, vec.conj()), atol=1e-15)
+    moved = dataclasses.replace(scn, order_phase=0.5)
+    for order, state in zip(CausalOrder, states):
+        assert fixed_order_state(moved, order) is not state
+
+
 # ---------------------------------------------------------------------------
 # evolution and reductions
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import switchlab.model as model
+import switchlab.relations as relations
 from switchlab.measures import binary_entropy
 from switchlab.model import (
     CausalOrder,
@@ -284,6 +287,16 @@ def test_overlap_lemma_random_unitaries(rng):
         assert check.holds, (seed, check)
 
 
+def test_overlap_lemma_ensemble_half_can_fail(monkeypatch):
+    scn = random_scenario(31, n_paths=3, detector_dim=3, mixed_order=True)
+    assert check_overlap_lemma(scn, np.eye(3)).holds
+    other = dataclasses.replace(scn, order_weight=scn.order_weight / 2.0, order_offdiag=0.0)
+    monkeypatch.setattr(relations, "evolve_switch", lambda s: model.evolve_switch(other))
+    check = check_overlap_lemma(scn, np.eye(3))
+    assert check.name == "helstrom-overlap-invariance"
+    assert not check.holds and check.lhs > 1e-3
+
+
 def test_overlap_lemma_rejects_non_unitary():
     scn = random_scenario(2, detector_dim=2)
     with pytest.raises(ValueError):
@@ -321,6 +334,23 @@ def test_verify_scenario_evolves_each_scenario_once(monkeypatch):
         assert all(c.holds for c in checks)
         # once for the scenario, once for the no-go counterexample
         assert len(builds) <= 2
+
+
+@pytest.mark.parametrize("mixed", [True, False])
+def test_verify_scenario_decomposes_each_state_once(monkeypatch, mixed):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    scn = random_scenario(11, 4, 4, mixed_order=mixed)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    checks = verify_scenario(scn, seed=1)
+    assert all(c.holds for c in checks)
+    # one per distinct validated state plus two Helstrom trace norms
+    assert len(calls) <= 25
 
 
 def test_relation_check_holds_is_recomputed():
