@@ -29,6 +29,7 @@ from .model import (
     fixed_order_state,
     fixed_order_vector,
     full_marking,
+    measure_order,
     no_marking,
     post_select,
     reduce_state,

@@ -218,6 +218,13 @@ def _parse_axis(spec: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, steps)
 
 
+def _parse_axes(specs, allowed: tuple[str, ...], command: str) -> dict[str, np.ndarray]:
+    axes = [_parse_axis(spec, allowed) for spec in specs or []]
+    if len({name for name, _ in axes}) != len(axes):
+        raise ConfigError(f"{command} axes must be distinct")
+    return dict(axes)
+
+
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario, args.seed)
     checks = relations.verify_scenario(scenario, seed=args.seed, tol=args.tol, alpha=args.alpha)
@@ -298,18 +305,15 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one --axis name:start:stop:steps")
     if len(args.axis) > 2:
         raise ConfigError("sweep supports at most two axes")
-    axes = [_parse_axis(spec, SWEEP_AXES) for spec in args.axis]
-    names = [name for name, _ in axes]
-    if len(set(names)) != len(names):
-        raise ConfigError("sweep axes must be distinct")
+    axes = _parse_axes(args.axis, SWEEP_AXES, "sweep")
+    names = list(axes)
     base = load_scenario(args.scenario, args.seed)
     if "theta" in names and base.order_offdiag is not None:
         raise ConfigError(
             "axis 'theta' has no effect: the scenario sets order_offdiag, "
             "which fixes the order-qubit off-diagonal"
         )
-    grids = [values for _, values in axes]
-    mesh = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")]
+    mesh = [g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij")]
     rows = []
     for values in zip(*mesh):
         assignment = dict(zip(names, (float(v) for v in values)))
@@ -325,16 +329,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_region(args) -> int:
-    p_values: np.ndarray | int = 21
-    overlap_values: np.ndarray | int = 21
-    for spec in args.axis or []:
-        name, values = _parse_axis(spec, REGION_AXES)
-        if name == "p":
-            p_values = values
-        else:
-            overlap_values = values
+    axes = _parse_axes(args.axis, REGION_AXES, "region")
     try:
-        points = relations.region_sweep(p_values, overlap_values)
+        points = relations.region_sweep(axes.get("p", 21), axes.get("overlap", 21))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = [
@@ -357,56 +354,64 @@ def cmd_region(args) -> int:
     return 0
 
 
+#: the flags each command reads, besides --out and --format
+COMMAND_FLAGS = {
+    "verify": ("scenario", "seed", "samples", "tol", "alpha"),
+    "run": ("scenario", "seed", "alpha"),
+    "sweep": ("scenario", "seed", "axis"),
+    "region": ("axis",),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchlab",
         description="verify and tabulate complementarity measures of order-controlled processes",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--scenario",
-        default="explicit-realization",
-        help="built-in name (%s) or path to a JSON scenario file"
-        % ", ".join(BUILTIN_SCENARIOS),
+    flags = {
+        "scenario": dict(
+            default="explicit-realization",
+            help="built-in name (%s) or path to a JSON scenario file"
+            % ", ".join(BUILTIN_SCENARIOS),
+        ),
+        "seed": dict(type=int, default=0, help="64-bit seed for derived randomness"),
+        "samples": dict(type=int, default=100, help="random scenarios to add"),
+        "tol": dict(type=float, default=1e-9, help="relation tolerance"),
+        "alpha": dict(type=float, default=1.0, help="weight of causal coherence in the no-go margin"),
+        "axis": dict(
+            action="append",
+            default=None,
+            metavar="NAME:START:STOP:STEPS",
+            help="parameter axis (repeatable, names distinct); sweep: p, theta, phi; region: p, overlap",
+        ),
+        "out": dict(default=None, help="output path (default stdout)"),
+        "format": dict(choices=("csv", "json"), default="csv"),
+    }
+    commands = (
+        ("verify", cmd_verify, "run every relation check"),
+        ("run", cmd_run, "report all measures for one scenario"),
+        ("sweep", cmd_sweep, "tabulate measures over parameter axes"),
+        ("region", cmd_region, "sweep the duality-sum vs causal-coherence region"),
     )
-    common.add_argument("--seed", type=int, default=0, help="64-bit seed for derived randomness")
-    common.add_argument("--samples", type=int, default=100, help="random scenarios to add (verify)")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--tol", type=float, default=1e-9, help="relation tolerance")
-    common.add_argument("--alpha", type=float, default=1.0, help="weight of causal coherence in the no-go margin")
-    common.add_argument(
-        "--axis",
-        action="append",
-        default=None,
-        metavar="NAME:START:STOP:STEPS",
-        help="sweep axis (repeatable, max 2); sweep: p, theta, phi; region: p, overlap",
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[common], help="run every relation check").set_defaults(
-        func=cmd_verify
-    )
-    sub.add_parser("run", parents=[common], help="report all measures for one scenario").set_defaults(
-        func=cmd_run
-    )
-    sub.add_parser("sweep", parents=[common], help="tabulate measures over parameter axes").set_defaults(
-        func=cmd_sweep
-    )
-    sub.add_parser(
-        "region", parents=[common], help="sweep the duality-sum vs causal-coherence region"
-    ).set_defaults(func=cmd_region)
+    for name, func, help_text in commands:
+        command = sub.add_parser(name, help=help_text)
+        for flag in COMMAND_FLAGS[name] + ("out", "format"):
+            command.add_argument(f"--{flag}", **flags[flag])
+        command.set_defaults(func=func)
     return parser
 
 
 def _check_flags(args) -> None:
-    if args.samples < 0:
+    """Range checks of the numeric flags the command accepts."""
+    flags = vars(args)
+    if "samples" in flags and args.samples < 0:
         raise ConfigError("--samples must be nonnegative")
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
+    if "tol" in flags and not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
-    if not math.isfinite(args.alpha):
+    if "alpha" in flags and not math.isfinite(args.alpha):
         raise ConfigError(f"--alpha must be finite, got {args.alpha}")
-    if not 0 <= args.seed < 2**64:
+    if "seed" in flags and not 0 <= args.seed < 2**64:
         raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
 
 

@@ -95,6 +95,22 @@ def trace_norm(m) -> float:
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
+def checked_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigvalsh spectrum of m, checked as that of a (sub)state.
+
+    m must be Hermitian within HERMITIAN_TOL and have no eigenvalue below
+    -PSD_TOL; otherwise ValueError.  The tolerances are absolute, so an
+    unnormalized block of a state is judged on the scale of that state.
+    """
+    if not is_hermitian(m):
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    spectrum = np.linalg.eigvalsh(m)
+    lo = float(spectrum.min())
+    if lo < -PSD_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lo}")
+    return spectrum
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Validated density matrix with subsystem dimension metadata.
@@ -126,15 +142,10 @@ class DensityOperator:
                 f"dims {dims} give dimension {int(np.prod(dims))}, "
                 f"matrix has dimension {m.shape[0]}"
             )
-        if not is_hermitian(m):
-            raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix has trace {tr}, expected 1")
-        spectrum = np.linalg.eigvalsh(m)
-        lo = float(spectrum.min())
-        if lo < -PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lo}")
+        spectrum = checked_spectrum(m)
         m.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -226,6 +237,11 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     taking logs; the clamping window is enforced by the DensityOperator
     invariants.  No new eigendecomposition runs.
     """
-    ev = rho.eigenvalues()
+    return spectrum_entropy(rho.spectrum)
+
+
+def spectrum_entropy(spectrum: np.ndarray) -> float:
+    """Shannon entropy in bits of a checked spectrum clamped to [0, 1], 0 log 0 := 0."""
+    ev = np.clip(spectrum, 0.0, 1.0)
     nonzero = ev[ev > 0.0]
     return float(-(nonzero * np.log2(nonzero)).sum() + 0.0)

@@ -16,7 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityOperator, partial_trace, von_neumann_entropy
+from .linalg import (
+    DensityOperator,
+    checked_spectrum,
+    partial_trace,
+    spectrum_entropy,
+    von_neumann_entropy,
+)
 from .model import contract_order, order_basis
 
 
@@ -191,10 +197,16 @@ def order_bloch_norm(order_weight: float, causal_coherence_value: float) -> floa
     return min(value, 1.0)
 
 
-def dephase_order(rho: DensityOperator, basis: str) -> DensityOperator:
-    """Dephase the order factor (last tensor factor) in the 'z' or 'x' basis.
+def conditional_entropy_after_measurement(rho: DensityOperator, basis: str) -> float:
+    """H(basis measurement on O | QD): entropy of the dephased state minus H(QD).
 
-    Returns sum_u sigma_u (x) |u><u| with sigma_u = (I (x) <u|) rho (I (x) |u>).
+    The dephased state sum_u sigma_u (x) |u><u|, with sigma_u the
+    contract_order blocks in the 'z' or 'x' basis, is never built: its
+    spectrum is the union of the blocks' spectra.  Each block is checked as
+    it stands, unnormalized, with the absolute tolerances of the joint
+    state, so an outcome of tiny probability is not judged on its
+    round-off magnified by normalization.  The result is nonnegative;
+    round-off down to -1e-10 is clamped to zero.
     """
     if basis == "z":
         vectors = np.eye(2, dtype=np.complex128)
@@ -203,19 +215,9 @@ def dephase_order(rho: DensityOperator, basis: str) -> DensityOperator:
     else:
         raise ValueError(f"unknown measurement basis {basis!r}; use 'z' or 'x'")
     blocks = contract_order(rho, vectors)
-    out = np.einsum("uab,uk,ul->akbl", blocks, vectors, np.conj(vectors))
-    return DensityOperator(out.reshape(rho.matrix.shape), rho.dims)
-
-
-def conditional_entropy_after_measurement(rho: DensityOperator, basis: str) -> float:
-    """H(basis measurement on O | QD): entropy of the dephased state minus H(QD).
-
-    The dephased state is classical on the order factor, so the result is
-    nonnegative; round-off down to -1e-10 is clamped to zero.
-    """
-    dephased = dephase_order(rho, basis)
+    spectrum = np.concatenate([checked_spectrum(block) for block in blocks])
     marginal = partial_trace(rho, tuple(range(len(rho.dims) - 1)))
-    value = von_neumann_entropy(dephased) - von_neumann_entropy(marginal)
+    value = spectrum_entropy(spectrum) - von_neumann_entropy(marginal)
     if -1e-10 < value < 0.0:
         return 0.0
     return value

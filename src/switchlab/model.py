@@ -6,9 +6,10 @@ routes the two operations through a coherently controlled order qubit.
 Tensor ordering is fixed as quanton (x) detector (x) order qubit, with the
 order qubit as the last factor throughout.
 The branches are built on the (n, d)-shaped amplitudes and the joint state
-by the dense switch unitary, an independent route the relation checks
-compare them against; a scenario memoizes both, and the two fixed-order
-density operators.
+from the dense U_A and U_B applied to the input in both orders, an
+independent route the relation checks compare them against; a scenario
+memoizes both, and the two fixed-order density operators.  contract_order
+gives the order-qubit outcome blocks; measure_order normalizes them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     as_complex_matrix,
-    dagger,
     is_unitary,
     kron,
     partial_trace,
@@ -186,6 +186,12 @@ class SwitchScenario:
         p = self.order_weight
         return math.sqrt(p * (1.0 - p)) * cmath.exp(-1j * self.order_phase)
 
+    def effective_order_phase(self) -> float:
+        """The phase theta of the order state actually prepared, K_01 = |K_01| e^{-i theta}."""
+        if self.order_offdiag is None:
+            return self.order_phase
+        return -cmath.phase(self.order_offdiag)
+
     def order_state(self) -> np.ndarray:
         p = self.order_weight
         k = self.order_offdiagonal()
@@ -215,27 +221,36 @@ class SwitchScenario:
     @cached_property
     def _joint_state(self) -> DensityOperator:
         u_a = build_which_path_unitary(self.preparation, self.interaction)
-        u_sw = build_switch_unitary(u_a, interference_unitary(self))
+        u_b = interference_unitary(self)
         psi0 = initial_state(self)
-        rho_in = np.kron(np.outer(psi0, np.conj(psi0)), self.order_state())
-        rho = u_sw @ rho_in @ dagger(u_sw)
-        return DensityOperator(rho, (self.n, self.detector_dim, 2))
+        phi = np.stack([u_b @ (u_a @ psi0), u_a @ (u_b @ psi0)], axis=1)
+        rho = np.einsum("ai,ij,bj->aibj", phi, self.order_state(), np.conj(phi))
+        return DensityOperator(rho.reshape(2 * len(psi0), -1), (self.n, self.detector_dim, 2))
 
 
 @dataclass(frozen=True, eq=False)
 class PostSelectionResult:
-    """Conditional quanton-detector description after an order-qubit outcome.
+    """Conditional quanton-detector state after one order-qubit outcome.
 
-    For degenerate outcomes (probability below DEGENERATE_PROBABILITY) the
-    conditional states and gamma are None and degenerate is set.
+    conditional_q and gamma are derived from it on first read; all three are
+    None for a degenerate outcome (probability below DEGENERATE_PROBABILITY).
     """
 
     outcome: str
     probability: float
     conditional_qd: DensityOperator | None
-    conditional_q: DensityOperator | None
-    gamma: complex | None
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.conditional_qd is None
+
+    @property
+    def conditional_q(self) -> DensityOperator | None:
+        return None if self.degenerate else partial_trace(self.conditional_qd, (0,))
+
+    @property
+    def gamma(self) -> complex | None:
+        return None if self.degenerate else complex(self.conditional_q.matrix[0, 1])
 
 
 def initial_state(scenario: SwitchScenario) -> np.ndarray:
@@ -312,9 +327,10 @@ def branch_overlap(scenario: SwitchScenario) -> complex:
 def evolve_switch(scenario: SwitchScenario) -> DensityOperator:
     """Global state after the order-controlled evolution, dims (n, d, 2).
 
-    Conjugates (input (x) order preparation) by the dense switch unitary,
-    once per scenario: the result is memoized.  For a pure order
-    preparation it is rank one.
+    sum_ij K_ij Phi_i Phi_j^dagger (x) |i><j|, with K the order state and
+    Phi_0 = U_B U_A psi0, Phi_1 = U_A U_B psi0 from the dense U_A and U_B: what
+    the switch unitary makes of psi0 (x) K, without forming it.  Memoized per
+    scenario; rank one for a pure order preparation.
     """
     return scenario._joint_state
 
@@ -357,33 +373,34 @@ def contract_order(rho_tot: DensityOperator, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("uk,akbu->uab", np.conj(vectors), ket)
 
 
+def measure_order(
+    rho_tot: DensityOperator, vectors: np.ndarray, outcomes: Sequence[str] = "01"
+) -> list[PostSelectionResult]:
+    """Measure the order qubit in the orthonormal basis of the rows of vectors.
+
+    outcomes labels the rows, by index unless given.
+
+    Each outcome carries its probability and, unless that is below
+    DEGENERATE_PROBABILITY, its normalized and validated (n, d) state.
+    """
+    blocks = contract_order(rho_tot, vectors)
+    n, d, _ = rho_tot.dims
+    results = []
+    for outcome, selected in zip(outcomes, blocks):
+        prob = max(float(np.real(np.trace(selected))), 0.0)
+        cond_qd = None if prob < DEGENERATE_PROBABILITY else DensityOperator(selected / prob, (n, d))
+        results.append(PostSelectionResult(outcome, prob, cond_qd))
+    total = sum(result.probability for result in results)
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"post-selection probabilities sum to {total}, expected 1")
+    return results
+
+
 def post_select(
     rho_tot: DensityOperator, basis_phase: float = 0.0
 ) -> tuple[PostSelectionResult, PostSelectionResult]:
-    """Project the order qubit onto the phase-phi superposition basis.
-
-    Returns the '+' and '-' results.  Outcome probabilities always sum to
-    one; an outcome with probability below DEGENERATE_PROBABILITY carries
-    no conditional state.
-    """
-    blocks = contract_order(rho_tot, order_basis(basis_phase))
-    n, d, _ = rho_tot.dims
-    results = []
-    for outcome, selected in zip("+-", blocks):
-        prob = max(float(np.real(np.trace(selected))), 0.0)
-        if prob < DEGENERATE_PROBABILITY:
-            results.append(
-                PostSelectionResult(outcome, prob, None, None, None, degenerate=True)
-            )
-            continue
-        cond_qd = DensityOperator(selected / prob, (n, d))
-        cond_q = partial_trace(cond_qd, (0,))
-        gamma = complex(cond_q.matrix[0, 1])
-        results.append(PostSelectionResult(outcome, prob, cond_qd, cond_q, gamma))
-    total = results[0].probability + results[1].probability
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"post-selection probabilities sum to {total}, expected 1")
-    return results[0], results[1]
+    """The '+' and '-' outcomes of measure_order in the phase-phi basis."""
+    return tuple(measure_order(rho_tot, order_basis(basis_phase), "+-"))
 
 
 def path_ensemble(

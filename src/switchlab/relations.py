@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import DiscriminationProblem, causal_duality, helstrom_guess
-from .linalg import DensityOperator, dagger, is_unitary, kron, partial_trace, von_neumann_entropy
+from .linalg import is_unitary, partial_trace, pure_state_density, von_neumann_entropy
 from .measures import (
     EntropicReport,
     binary_entropy,
@@ -323,7 +323,7 @@ def _post_selected_closed_form(
                 f"balanced-branch condition violated for order {label}: "
                 f"path populations {priors.tolist()} differ from 1/2"
             )
-    theta_eff = scenario.order_phase - basis_phase
+    theta_eff = scenario.effective_order_phase() - basis_phase
     rot = cmath.exp(1j * theta_eff)
     cross = np.array(
         [[np.vdot(det_ab[i], det_ba[j]) for j in range(2)] for i in range(2)]
@@ -553,11 +553,12 @@ def check_overlap_lemma(
 ) -> RelationCheck:
     """Detector-local invariance of causal-order discrimination.
 
-    Conjugating both fixed-order states by I (x) W preserves all detector
-    overlaps, hence the minimum-error guessing probability.  The check also
-    verifies that the order-basis blocks (I (x) <k|) rho (I (x) |k>) of the
-    joint state are exactly p rho_ab and (1 - p) rho_ba, the classical-quantum
-    ensemble that dephasing the order qubit leaves.  The blocks are compared
+    Rotating the (n, d) amplitudes of both fixed-order branches by I (x) W
+    preserves all detector overlaps, hence the minimum-error guessing
+    probability.  The check also verifies that the order-basis blocks
+    (I (x) <k|) rho (I (x) |k>) of the joint state are exactly p rho_ab and
+    (1 - p) rho_ba, the classical-quantum ensemble that dephasing the order
+    qubit leaves.  The blocks are compared
     directly: no dephased joint state is built, since its off-diagonal order
     blocks are exactly zero.
     """
@@ -567,26 +568,17 @@ def check_overlap_lemma(
     if w.shape != (d, d) or not is_unitary(w):
         raise ValueError(f"detector unitary must be unitary of dimension {d}")
     n = scenario.n
-    dims = (n, d)
     p = scenario.order_weight
-    states = {order: fixed_order_state(scenario, order) for order in CausalOrder}
-    baseline = helstrom_guess(
-        DiscriminationProblem(p, states[CausalOrder.A_THEN_B], states[CausalOrder.B_THEN_A])
-    )
-    big_w = kron(np.eye(n), w)
-    rotated = {
-        order: DensityOperator(big_w @ rho.matrix @ dagger(big_w), dims)
-        for order, rho in states.items()
-    }
-    conjugated = helstrom_guess(
-        DiscriminationProblem(p, rotated[CausalOrder.A_THEN_B], rotated[CausalOrder.B_THEN_A])
-    )
+    states = [fixed_order_state(scenario, order) for order in CausalOrder]
+    baseline = helstrom_guess(DiscriminationProblem(p, *states))
+    rotated = [
+        pure_state_density(fixed_order_vector(scenario, order).reshape(n, d) @ w.T, (n, d))
+        for order in CausalOrder
+    ]
+    conjugated = helstrom_guess(DiscriminationProblem(p, *rotated))
     # the order-basis blocks of the joint state are the weighted fixed-order states
     blocks = contract_order(evolve_switch(scenario), np.eye(2, dtype=np.complex128))
-    expected = (
-        p * states[CausalOrder.A_THEN_B].matrix,
-        (1.0 - p) * states[CausalOrder.B_THEN_A].matrix,
-    )
+    expected = (p * states[0].matrix, (1.0 - p) * states[1].matrix)
     ensemble_deviation = max(
         float(np.abs(block - want).max()) for block, want in zip(blocks, expected)
     )

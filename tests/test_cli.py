@@ -153,6 +153,31 @@ def test_invalid_flag_is_config_error(flag, value, capsys):
     assert err.startswith("config error:") and flag in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--scenario", "no-marking"],
+        ["region", "--seed", "5"],
+        ["region", "--tol", "1"],
+        ["region", "--alpha", "3"],
+        ["region", "--samples", "2"],
+        ["run", "--axis", "p:0:1:3"],
+        ["run", "--samples", "2"],
+        ["run", "--tol", "1"],
+        ["verify", "--samples", "0", "--axis", "p:0:1:3"],
+        ["sweep", "--axis", "p:0:1:3", "--alpha", "2"],
+        ["sweep", "--axis", "p:0:1:3", "--tol", "1"],
+        ["sweep", "--axis", "p:0:1:3", "--samples", "2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_command_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_largest_seed_is_accepted(tmp_path):
     out = tmp_path / "run.csv"
     assert main(["run", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
@@ -371,3 +396,29 @@ def test_region_axis_override(tmp_path):
     assert code == 0
     assert len(_read_csv(out)) == 15
     assert main(["region", "--axis", "overlap:-2:2:5"]) == 2
+
+
+def test_near_degenerate_order_outcome_runs(tmp_path):
+    """run and sweep pass where an x outcome has probability 1e-10 to 1e-8."""
+    config = dict(
+        ORTHOGONAL_BRANCH_CONFIG,
+        probabilities=[0.5, 0.5],
+        detector_unitaries=[
+            [[1, 0], [0, 0], [0, 0], [1, 0]],
+            [[0, 0], [1, 0], [1, 0], [0, 0]],
+        ],
+        interference_unitary=[[1, 0], [0, 0], [0, 0], [0.5, math.sqrt(0.75)]],
+        order_weight=0.50001,
+    )
+    path = tmp_path / "near_degenerate.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "run.csv")]) == 0
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", "full-marking", "--axis", "p:0.4999:0.5001:41", "--out", str(out)]) == 0
+    assert len(_read_csv(out)) == 41
+
+
+def test_region_rejects_repeated_axis(capsys):
+    assert main(["region", "--axis", "p:0:1:2", "--axis", "p:0:0.5:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "distinct" in err

@@ -20,8 +20,12 @@ from switchlab.model import (
     SwitchScenario,
     WhichPathInteraction,
     branch_overlap,
+    contract_order,
     evolve_switch,
     explicit_realization,
+    full_marking,
+    order_basis,
+    post_select,
     reduce_state,
 )
 from switchlab.relations import random_scenario
@@ -309,6 +313,59 @@ def test_conditional_entropy_rejects_bad_dims(rng):
     rho_tot = evolve_switch(explicit_realization())
     with pytest.raises(ValueError):
         conditional_entropy_after_measurement(rho_tot, "y")
+
+
+def _entropy_via_dephased_state(rho, basis):
+    """Reference: S(sum_u P_u rho P_u) - S(QD) with P_u = I (x) |u><u| built explicitly."""
+    vectors = np.eye(2) if basis == "z" else np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    front = np.eye(rho.dim // 2)
+    dephased = sum(
+        proj @ rho.matrix @ proj
+        for proj in (np.kron(front, np.outer(u, u.conj())) for u in vectors)
+    )
+    marginal = partial_trace(rho, (0, 1))
+    return von_neumann_entropy(DensityOperator(dephased, rho.dims)) - von_neumann_entropy(
+        marginal
+    )
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_conditional_entropy_matches_explicit_dephased_state(rng, rank):
+    for _ in range(5):
+        rho = random_density((2, 2, 2), rng, rank=rank)
+        for basis in ("z", "x"):
+            want = max(_entropy_via_dephased_state(rho, basis), 0.0)
+            got = conditional_entropy_after_measurement(rho, basis)
+            assert abs(got - want) <= 1e-12
+
+
+def test_conditional_entropy_matches_dephased_state_with_degenerate_outcome():
+    for scn in (explicit_realization(), random_scenario(3, mixed_order=True)):
+        rho_tot = evolve_switch(scn)
+        for basis in ("z", "x"):
+            want = max(_entropy_via_dephased_state(rho_tot, basis), 0.0)
+            got = conditional_entropy_after_measurement(rho_tot, basis)
+            assert abs(got - want) <= 1e-12
+    # the x outcome '-' of the flagship state has probability zero
+    assert post_select(evolve_switch(explicit_realization()), 0.0)[1].degenerate
+
+
+@pytest.mark.parametrize("order_weight", [0.50001, 0.4999, 0.5001])
+def test_conditional_entropy_with_near_degenerate_outcome(order_weight):
+    """An x outcome of probability 1e-10 to 1e-8 is checked on the joint state's scale.
+
+    Its normalized block carries round-off of about 1e-17 / p, which fails
+    the relative tolerance of a DensityOperator; the unnormalized block is
+    checked, as the dephased state was.
+    """
+    rho_tot = evolve_switch(full_marking(order_weight))
+    blocks = contract_order(rho_tot, order_basis(0.0))
+    probability = min(np.trace(block).real for block in blocks)
+    assert 1e-12 < probability < 1e-7
+    for basis in ("z", "x"):
+        want = max(_entropy_via_dephased_state(rho_tot, basis), 0.0)
+        got = conditional_entropy_after_measurement(rho_tot, basis)
+        assert abs(got - want) <= 1e-12
 
 
 def test_memory_assisted_uncertainty_on_mixed_states(rng):

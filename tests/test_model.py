@@ -23,11 +23,11 @@ from switchlab.model import (
     fixed_order_vector,
     initial_state,
     interference_unitary,
+    measure_order,
     no_marking,
     post_select,
     reduce_state,
 )
-from switchlab.measures import dephase_order
 from switchlab.relations import random_scenario
 
 from conftest import random_unitary
@@ -172,6 +172,24 @@ def test_branch_pair_matches_dense_route(seed, n, d, mixed):
     # rho = A K A^dagger with A = [Psi_ab (x) |0>, Psi_ba (x) |1>]
     a = np.stack([np.kron(va, [1.0, 0.0]), np.kron(vb, [0.0, 1.0])], axis=1)
     want = a @ scn.order_state() @ a.conj().T
+    assert np.abs(evolve_switch(scn).matrix - want).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.booleans(),
+)
+def test_evolve_switch_matches_switch_unitary_conjugation(seed, n, d, mixed):
+    scn = random_scenario(seed, n_paths=n, detector_dim=d, mixed_order=mixed)
+    u_sw = build_switch_unitary(
+        build_which_path_unitary(scn.preparation, scn.interaction), interference_unitary(scn)
+    )
+    psi0 = initial_state(scn)
+    rho_in = np.kron(np.outer(psi0, psi0.conj()), scn.order_state())
+    want = u_sw @ rho_in @ u_sw.conj().T
     assert np.abs(evolve_switch(scn).matrix - want).max() <= 1e-12
 
 
@@ -376,6 +394,29 @@ def test_post_select_near_degenerate_outcome_stays_valid():
     assert minus.probability == pytest.approx(1.6e-8, rel=0.01)
 
 
+def test_post_select_reduces_quanton_state_on_first_read(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    scn = random_scenario(37, n_paths=3, detector_dim=4, mixed_order=True)
+    rho_tot = evolve_switch(scn)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    plus, minus = post_select(rho_tot, 0.8)
+    assert calls == [(12, 12), (12, 12)]
+    assert not plus.degenerate and not minus.degenerate
+    gamma = plus.gamma
+    assert calls[2:] == [(3, 3)]
+    assert plus.conditional_q is plus.conditional_q
+    assert gamma == plus.conditional_q.matrix[0, 1]
+    assert len(calls) == 3
+    assert minus.conditional_q.dims == (3,)
+    assert calls[3:] == [(3, 3)]
+
+
 def test_order_factor_is_contracted_without_kronecker_projectors(monkeypatch):
     scn = random_scenario(29, mixed_order=True)
     rho_tot = evolve_switch(scn)
@@ -388,13 +429,15 @@ def test_order_factor_is_contracted_without_kronecker_projectors(monkeypatch):
 
     monkeypatch.setattr(np, "kron", forbidden)
     plus, minus = post_select(rho_tot, 0.4)
-    dephased = dephase_order(rho_tot, "z")
+    zero, one = measure_order(rho_tot, np.eye(2, dtype=complex))
     monkeypatch.undo()
+    assert (plus.outcome, minus.outcome) == ("+", "-")
     assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-12)
-    want = p * np.kron(rho_ab, np.diag([1.0, 0.0])) + (1 - p) * np.kron(
-        rho_ba, np.diag([0.0, 1.0])
-    )
-    assert np.abs(dephased.matrix - want).max() < 1e-12
+    assert (zero.outcome, one.outcome) == ("0", "1")
+    assert zero.probability == pytest.approx(p, abs=1e-12)
+    assert one.probability == pytest.approx(1 - p, abs=1e-12)
+    assert np.abs(zero.conditional_qd.matrix - rho_ab).max() < 1e-12
+    assert np.abs(one.conditional_qd.matrix - rho_ba).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

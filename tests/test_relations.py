@@ -317,13 +317,13 @@ def test_verify_battery_all_hold():
 
 def test_verify_scenario_evolves_each_scenario_once(monkeypatch):
     builds = []
-    build = model.build_switch_unitary
+    build = model.build_which_path_unitary
 
-    def counted(u_a, u_b):
-        builds.append(u_a.shape)
-        return build(u_a, u_b)
+    def counted(preparation, interaction):
+        builds.append(interaction.n)
+        return build(preparation, interaction)
 
-    monkeypatch.setattr(model, "build_switch_unitary", counted)
+    monkeypatch.setattr(model, "build_which_path_unitary", counted)
     for scn in (
         random_scenario(5),
         random_scenario(6, mixed_order=True),
@@ -345,12 +345,31 @@ def test_verify_scenario_decomposes_each_state_once(monkeypatch, mixed):
         calls.append(m.shape)
         return eigvalsh(m)
 
+    def forbidden(*args):
+        raise AssertionError("switch unitary built")
+
     scn = random_scenario(11, 4, 4, mixed_order=mixed)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(model, "build_switch_unitary", forbidden)
     checks = verify_scenario(scn, seed=1)
     assert all(c.holds for c in checks)
     # one per distinct validated state plus two Helstrom trace norms
     assert len(calls) <= 25
+    # the joint state is the only 2nd-dimensional matrix decomposed
+    assert calls.count((32, 32)) == 1 and max(calls) == (32, 32)
+
+
+def test_post_selected_closed_form_uses_order_offdiag_phase():
+    for seed in range(6):
+        base = random_symmetric_scenario(seed)
+        p, theta = base.order_weight, base.order_phase
+        offdiag = np.sqrt(p * (1 - p)) * np.exp(-1j * (theta + 1.0))
+        scn = dataclasses.replace(base, order_offdiag=offdiag)
+        assert scn.has_pure_order()
+        checks = verify_scenario(scn, seed=seed)
+        names = [c.name for c in checks]
+        assert "post-selected-duality:+" in names and "post-selected-duality:-" in names
+        assert all(c.holds for c in checks), [c for c in checks if not c.holds]
 
 
 def test_relation_check_holds_is_recomputed():
