@@ -28,7 +28,7 @@ print("causal coherence 2|kappa| =", 2 * abs(rho_o.matrix[0, 1]))
 print("unconditional quanton coherence C_q =", l1_coherence(rho_q.matrix, 2))
 
 print("\npost-selecting the order qubit in the (|0> +/- |1>)/sqrt(2) basis:")
-plus, minus = post_select(rho_tot, 0.0)
+plus, minus = post_select(scenario, 0.0)
 for res in (plus, minus):
     coherence = l1_coherence(res.conditional_q.matrix, 2)
     print(

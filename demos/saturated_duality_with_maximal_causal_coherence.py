@@ -12,10 +12,9 @@ import numpy as np
 
 from switchlab import (
     CausalOrder,
-    evolve_switch,
     explicit_realization,
-    fixed_order_state,
-    reduce_state,
+    fixed_order_vector,
+    order_marginal,
 )
 from switchlab.relations import nogo_counterexample, scenario_quantities
 
@@ -23,13 +22,13 @@ scenario = explicit_realization()  # balanced paths, V0 = I, V1 = X, p = 1/2
 
 print("=== fixed-order branches ===")
 for order in CausalOrder:
-    rho = fixed_order_state(scenario, order)
-    print(f"{order.value}: purity {rho.purity():.6f}, dims {rho.dims}")
+    amplitudes = fixed_order_vector(scenario, order).reshape(scenario.n, scenario.detector_dim)
+    print(f"{order.value}: (path, detector) amplitudes")
+    print(np.array_str(amplitudes, precision=4, suppress_small=True))
 
-rho_tot = evolve_switch(scenario)
-rho_o = reduce_state(rho_tot, "o")
+rho_o = order_marginal(scenario)  # K o G^T, from the two branches
 print("\nreduced order qubit:")
-print(np.array_str(rho_o.matrix, precision=4, suppress_small=True))
+print(np.array_str(rho_o, precision=4, suppress_small=True))
 
 q = scenario_quantities(scenario)
 print("\n=== complementarity measures ===")

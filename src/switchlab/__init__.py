@@ -29,8 +29,10 @@ from .model import (
     fixed_order_state,
     fixed_order_vector,
     full_marking,
+    gram_spectrum,
     measure_order,
     no_marking,
+    order_marginal,
     post_select,
     reduce_state,
 )

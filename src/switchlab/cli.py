@@ -45,6 +45,14 @@ class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, after the usage of the (sub)command at fault."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -364,7 +372,7 @@ COMMAND_FLAGS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="switchlab",
         description="verify and tabulate complementarity measures of order-controlled processes",
     )
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         for flag in COMMAND_FLAGS[name] + ("out", "format"):
             command.add_argument(f"--{flag}", **flags[flag])
-        command.set_defaults(func=func)
+        command.set_defaults(func=func, parser=command)
     return parser
 
 
@@ -416,8 +424,10 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         _check_flags(args)
         return args.func(args)
     except ConfigError as exc:

@@ -175,10 +175,13 @@ def uqsd_numeric_oracle(prior: float, psi_a, psi_b) -> float:
 def causal_duality(prior: float, psi_a, psi_b, tol: float = 1e-9) -> DualityReport:
     """Causal coherence paired with unambiguous order distinguishability.
 
-    For pure branch states the two sides are complementary by construction;
-    the report's saturation flag records it.
+    The distinguishability is the uqsd_two_pure optimum.  Inside its prior
+    window the pair sums to one; outside it the sum falls short by
+    (sqrt(1 - p) - s sqrt(p))^2 for p >= 1/2 (s the overlap magnitude), and
+    by the mirror expression for p < 1/2.  The report's saturation flag
+    records which.
     """
     a = _normalized_vector(psi_a, "psi_a")
     b = _normalized_vector(psi_b, "psi_b")
     coherence = causal_coherence(prior, complex(np.vdot(a, b)))
-    return DualityReport(coherence, 1.0 - coherence, tol)
+    return DualityReport(coherence, uqsd_two_pure(prior, a, b).probability, tol)

@@ -2,8 +2,9 @@
 
 Everything operates on plain numpy arrays (complex128, row-major, 0-based).
 Tensor factor 0 is always the leftmost Kronecker factor.  All routines are
-dense, for joint states of dimension 2nd up to a few hundred (392 at
-n = d = 14), and favour clarity and strict validation over cleverness.
+dense; they serve the 2nd-dimensional joint state that the relation checks
+use as their second route, and general states.  The library quantities
+need none of them (see switchlab.model).
 """
 
 from __future__ import annotations

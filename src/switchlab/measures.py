@@ -200,13 +200,13 @@ def order_bloch_norm(order_weight: float, causal_coherence_value: float) -> floa
 def conditional_entropy_after_measurement(rho: DensityOperator, basis: str) -> float:
     """H(basis measurement on O | QD): entropy of the dephased state minus H(QD).
 
-    The dephased state sum_u sigma_u (x) |u><u|, with sigma_u the
-    contract_order blocks in the 'z' or 'x' basis, is never built: its
-    spectrum is the union of the blocks' spectra.  Each block is checked as
-    it stands, unnormalized, with the absolute tolerances of the joint
-    state, so an outcome of tiny probability is not judged on its
-    round-off magnified by normalization.  The result is nonnegative;
-    round-off down to -1e-10 is clamped to zero.
+    This is the dense route, for any (n, d, 2) state.  The dephased state
+    sum_u sigma_u (x) |u><u|, with sigma_u the contract_order blocks in the
+    'z' or 'x' basis, is never built: its spectrum is the union of the
+    blocks' spectra.  Each block is checked as it stands, unnormalized, with
+    the absolute tolerances of the joint state, so an outcome of tiny
+    probability is not judged on its round-off magnified by normalization.
+    The result is nonnegative; round-off down to -1e-10 is clamped to zero.
     """
     if basis == "z":
         vectors = np.eye(2, dtype=np.complex128)

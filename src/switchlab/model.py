@@ -5,11 +5,12 @@ applies an interference unitary on the quanton alone (operation B), and
 routes the two operations through a coherently controlled order qubit.
 Tensor ordering is fixed as quanton (x) detector (x) order qubit, with the
 order qubit as the last factor throughout.
-The branches are built on the (n, d)-shaped amplitudes and the joint state
-from the dense U_A and U_B applied to the input in both orders, an
-independent route the relation checks compare them against; a scenario
-memoizes both, and the two fixed-order density operators.  contract_order
-gives the order-qubit outcome blocks; measure_order normalizes them.
+A scenario memoizes its branch pair B = [Psi_ab, Psi_ba], built on the
+(n, d)-shaped amplitudes, and its Gram core G = B^dagger B with G^(1/2):
+every derived spectrum and the order qubit come from the core, each
+measured outcome from B and the order state K.  The dense joint state, U_A
+and U_B applied to the input in both orders, is the independent route the
+relation checks compare against.
 """
 
 from __future__ import annotations
@@ -219,6 +220,16 @@ class SwitchScenario:
         return tuple(pure_state_density(branch, dims) for branch in self._branches)
 
     @cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only Gram matrix G_ij = <Psi_i|Psi_j> of the branch pair, and G^(1/2)."""
+        ab, ba = self._branches
+        gram = np.array([[np.vdot(ab, ab), np.vdot(ab, ba)], [np.vdot(ba, ab), np.vdot(ba, ba)]])
+        root = _psd_root(gram)
+        for matrix in (gram, root):
+            matrix.setflags(write=False)
+        return gram, root
+
+    @cached_property
     def _joint_state(self) -> DensityOperator:
         u_a = build_which_path_unitary(self.preparation, self.interaction)
         u_b = interference_unitary(self)
@@ -251,6 +262,13 @@ class PostSelectionResult:
     @property
     def gamma(self) -> complex | None:
         return None if self.degenerate else complex(self.conditional_q.matrix[0, 1])
+
+
+def _psd_root(m: np.ndarray) -> np.ndarray:
+    """(m + sqrt(det m) I) / sqrt(tr m + 2 sqrt(det m)), whose square is m for any nonzero
+    2x2 positive semidefinite m, singular ones included (Cayley-Hamilton)."""
+    root_det = math.sqrt(max((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real, 0.0))
+    return (m + root_det * np.eye(2)) / math.sqrt(m[0, 0].real + m[1, 1].real + 2.0 * root_det)
 
 
 def initial_state(scenario: SwitchScenario) -> np.ndarray:
@@ -313,7 +331,8 @@ def fixed_order_vector(scenario: SwitchScenario, order: CausalOrder | str) -> np
 def fixed_order_state(scenario: SwitchScenario, order: CausalOrder | str) -> DensityOperator:
     """Pure quanton-detector state of one definite causal order, dims (n, d).
 
-    Memoized by the scenario next to the branch pair it is built from.
+    A dense reference: built only when asked for, memoized by the scenario
+    next to the branch pair it is built from.  No library quantity uses it.
     """
     ab, ba = scenario._fixed_order_states
     return ab if CausalOrder(order) is CausalOrder.A_THEN_B else ba
@@ -324,13 +343,31 @@ def branch_overlap(scenario: SwitchScenario) -> complex:
     return complex(np.vdot(*scenario._branches))
 
 
+def gram_spectrum(scenario: SwitchScenario, weights) -> np.ndarray:
+    """Spectrum of G^(1/2) W G^(1/2), the nonzero spectrum of B W B^dagger, ascending.
+
+    W is a Hermitian 2x2 matrix, or a stack of them: diag(p, 1 - p) gives
+    rho_QD, conj(u) u^T o K the block of order outcome u, and diag(p, p - 1)
+    the Helstrom operator p rho_ab - (1 - p) rho_ba.
+    """
+    _, root = scenario._gram
+    return np.linalg.eigvalsh(root @ np.asarray(weights) @ root)
+
+
+def order_marginal(scenario: SwitchScenario) -> np.ndarray:
+    """Reduced order qubit K o G^T (entrywise): <i|rho_O|j> = K_ij <Psi_j|Psi_i>."""
+    gram, _ = scenario._gram
+    return scenario.order_state() * gram.T
+
+
 def evolve_switch(scenario: SwitchScenario) -> DensityOperator:
     """Global state after the order-controlled evolution, dims (n, d, 2).
 
     sum_ij K_ij Phi_i Phi_j^dagger (x) |i><j|, with K the order state and
     Phi_0 = U_B U_A psi0, Phi_1 = U_A U_B psi0 from the dense U_A and U_B: what
     the switch unitary makes of psi0 (x) K, without forming it.  Memoized per
-    scenario; rank one for a pure order preparation.
+    scenario; rank one for a pure order preparation.  Only the relation
+    checks use it, as their second route.
     """
     return scenario._joint_state
 
@@ -374,21 +411,23 @@ def contract_order(rho_tot: DensityOperator, vectors: np.ndarray) -> np.ndarray:
 
 
 def measure_order(
-    rho_tot: DensityOperator, vectors: np.ndarray, outcomes: Sequence[str] = "01"
+    scenario: SwitchScenario, vectors: np.ndarray, outcomes: Sequence[str] = "01"
 ) -> list[PostSelectionResult]:
     """Measure the order qubit in the orthonormal basis of the rows of vectors.
 
-    outcomes labels the rows, by index unless given.
-
-    Each outcome carries its probability and, unless that is below
-    DEGENERATE_PROBABILITY, its normalized and validated (n, d) state.
+    outcomes labels the rows, by index unless given.  Each outcome u carries
+    its probability Tr sigma_u and, unless that is below DEGENERATE_PROBABILITY,
+    its (n, d) state sigma_u / Tr sigma_u, with sigma_u = W W^dagger and
+    W = B diag(conj(u)) K^(1/2): Hermitian and positive by construction.
     """
-    blocks = contract_order(rho_tot, vectors)
-    n, d, _ = rho_tot.dims
+    branches = np.stack(scenario._branches, axis=1)
+    k_root = _psd_root(scenario.order_state())
+    dims = (scenario.n, scenario.detector_dim)
     results = []
-    for outcome, selected in zip(outcomes, blocks):
-        prob = max(float(np.real(np.trace(selected))), 0.0)
-        cond_qd = None if prob < DEGENERATE_PROBABILITY else DensityOperator(selected / prob, (n, d))
+    for outcome, u in zip(outcomes, vectors):
+        w = branches @ (np.conj(u)[:, None] * k_root)
+        prob = float(np.vdot(w, w).real)
+        cond_qd = None if prob < DEGENERATE_PROBABILITY else DensityOperator(w @ w.conj().T / prob, dims)
         results.append(PostSelectionResult(outcome, prob, cond_qd))
     total = sum(result.probability for result in results)
     if abs(total - 1.0) > 1e-10:
@@ -397,10 +436,10 @@ def measure_order(
 
 
 def post_select(
-    rho_tot: DensityOperator, basis_phase: float = 0.0
+    scenario: SwitchScenario, basis_phase: float = 0.0
 ) -> tuple[PostSelectionResult, PostSelectionResult]:
     """The '+' and '-' outcomes of measure_order in the phase-phi basis."""
-    return tuple(measure_order(rho_tot, order_basis(basis_phase), "+-"))
+    return tuple(measure_order(scenario, order_basis(basis_phase), "+-"))
 
 
 def path_ensemble(

@@ -1,9 +1,10 @@
 """Machine-checkable verification of every complementarity relation.
 
-Each check_* function evaluates one relation through at least two
-computation routes (closed form vs. the full matrix pipeline, or a measure
-vs. its convex bound) and returns a RelationCheck whose holds flag is
-recomputed from the stored numbers.  Randomized coverage is driven by
+Every library quantity comes from the branch pair and the 2x2 order state,
+with nothing larger than n x n formed.  Each check_* function evaluates one
+relation through at least two routes (that one vs. the dense joint state, a
+closed form, or a convex bound) and returns a RelationCheck whose holds flag
+is recomputed from the stored numbers.  Randomized coverage is driven by
 64-bit seeds; every check carries the fingerprint of the scenario it ran
 on so failures are replayable.
 """
@@ -14,12 +15,12 @@ import cmath
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discrimination import DiscriminationProblem, causal_duality, helstrom_guess
-from .linalg import is_unitary, partial_trace, pure_state_density, von_neumann_entropy
+from .discrimination import causal_duality, uqsd_two_pure
+from .linalg import is_unitary, spectrum_entropy
 from .measures import (
     EntropicReport,
     binary_entropy,
@@ -39,8 +40,10 @@ from .model import (
     contract_order,
     evolve_switch,
     explicit_realization,
-    fixed_order_state,
     fixed_order_vector,
+    gram_spectrum,
+    order_basis,
+    order_marginal,
     path_ensemble,
     post_select,
     reduce_state,
@@ -209,30 +212,29 @@ def random_symmetric_scenario(seed: int) -> SwitchScenario:
 
 
 # ---------------------------------------------------------------------------
-# spatial (quanton-detector) quantities through the matrix pipeline
+# quantities from the branch pair and the 2x2 order state
 # ---------------------------------------------------------------------------
 
 
-def _branch_duality(scenario: SwitchScenario, order: CausalOrder) -> tuple[float, float]:
-    """(coherence, distinguishability) of one definite-order branch."""
+def _branch_duality(
+    scenario: SwitchScenario, order: CausalOrder
+) -> tuple[np.ndarray, float, float]:
+    """(M M^dagger, coherence, distinguishability) of one definite-order branch M, shape (n, d)."""
     n, d = scenario.n, scenario.detector_dim
-    rho_q = partial_trace(fixed_order_state(scenario, order), (0,))
-    coherence = l1_coherence(rho_q, n)
-    priors, states = path_ensemble(fixed_order_vector(scenario, order), n, d)
-    disting = path_distinguishability(priors, states)
-    return coherence, disting
+    vector = fixed_order_vector(scenario, order)
+    amplitudes = vector.reshape(n, d)
+    rho_q = amplitudes @ amplitudes.conj().T
+    priors, states = path_ensemble(vector, n, d)
+    return rho_q, l1_coherence(rho_q, n), path_distinguishability(priors, states)
 
 
 def spatial_summary(scenario: SwitchScenario) -> dict[str, float]:
-    """Reduced-state coherence plus per-order duality pairs and the convex bound."""
-    rho_tot = evolve_switch(scenario)
-    rho_q = reduce_state(rho_tot, "q")
-    c_q = l1_coherence(rho_q.matrix, scenario.n)
-    c_ab, d_ab = _branch_duality(scenario, CausalOrder.A_THEN_B)
-    c_ba, d_ba = _branch_duality(scenario, CausalOrder.B_THEN_A)
+    """Coherence of rho_Q = p M_ab M_ab^dagger + (1 - p) M_ba M_ba^dagger, per-order pairs, bounds."""
+    rho_ab, c_ab, d_ab = _branch_duality(scenario, CausalOrder.A_THEN_B)
+    rho_ba, c_ba, d_ba = _branch_duality(scenario, CausalOrder.B_THEN_A)
     p = scenario.order_weight
     return {
-        "spatial_coherence": c_q,
+        "spatial_coherence": l1_coherence(p * rho_ab + (1.0 - p) * rho_ba, scenario.n),
         "coherence_a_then_b": c_ab,
         "coherence_b_then_a": c_ba,
         "distinguishability_a_then_b": d_ab,
@@ -240,6 +242,41 @@ def spatial_summary(scenario: SwitchScenario) -> dict[str, float]:
         "distinguishability_bound": p * d_ab + (1.0 - p) * d_ba,
         "coherence_convex_bound": p * c_ab + (1.0 - p) * c_ba,
     }
+
+
+def _entropic_report(scenario: SwitchScenario) -> EntropicReport:
+    """H(Z|QD), H(X|QD) and their bound 1 + S(rho) - S(QD), from 2x2 spectra (gram_spectrum).
+
+    H(u|QD) = S(sum_u sigma_u (x) |u><u|) - S(QD), clamped to zero from -1e-10;
+    spec rho = spec K, so a pure order state gives the bound 1 - H(O).
+    """
+    p = scenario.order_weight
+    k = scenario.order_state()
+    entropy_qd = spectrum_entropy(gram_spectrum(scenario, np.diag([p, 1.0 - p])))
+    vectors = np.concatenate([np.eye(2), order_basis(0.0)])  # the z outcomes, then the x ones
+    blocks = gram_spectrum(scenario, np.conj(vectors)[:, :, None] * k * vectors[:, None, :])
+    entropy_z, entropy_x = (spectrum_entropy(pair) - entropy_qd for pair in blocks.reshape(2, 4))
+    rho_o = order_marginal(scenario)
+    return EntropicReport(
+        entropy_z=0.0 if -1e-10 < entropy_z < 0.0 else entropy_z,
+        entropy_x=0.0 if -1e-10 < entropy_x < 0.0 else entropy_x,
+        bound=1.0 + spectrum_entropy(np.linalg.eigvalsh(k)) - entropy_qd,
+        bloch_norm=order_bloch_norm(p, l1_coherence(rho_o)),
+        order_entropy=spectrum_entropy(np.linalg.eigvalsh(rho_o)),
+    )
+
+
+def _helstrom_guess(scenario: SwitchScenario) -> float:
+    """Minimum-error guess of the causal order, (1 + ||p rho_ab - (1 - p) rho_ba||_1) / 2."""
+    p = scenario.order_weight
+    spectrum = gram_spectrum(scenario, np.diag([p, p - 1.0]))
+    return 0.5 * (1.0 + float(np.abs(spectrum).sum()))
+
+
+def _weighted_branch_states(scenario: SwitchScenario) -> tuple[np.ndarray, np.ndarray]:
+    """p Psi_ab Psi_ab^dagger and (1 - p) Psi_ba Psi_ba^dagger, from the branch pair."""
+    weights = (scenario.order_weight, 1.0 - scenario.order_weight)
+    return tuple(w * np.outer(b, b.conj()) for w, b in zip(weights, scenario._branches))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +292,7 @@ def check_fixed_order_duality(
 ) -> RelationCheck:
     """Coherence plus distinguishability equals one for a pure definite order."""
     order = CausalOrder(order)
-    coherence, disting = _branch_duality(scenario, order)
+    _, coherence, disting = _branch_duality(scenario, order)
     return RelationCheck(
         f"fixed-order-duality:{order.value}",
         coherence + disting,
@@ -275,12 +312,14 @@ def check_ico_duality(
 
     Returns the coherence-convexity check and the check that reduced
     coherence plus the convex distinguishability bound stays below one.
+    The reduced coherence comes from the dense joint state.
     """
     fp = fingerprint or scenario_fingerprint(scenario)
     q = spatial_summary(scenario)
+    c_q = l1_coherence(reduce_state(evolve_switch(scenario), "q").matrix, scenario.n)
     convexity = RelationCheck(
         "ico-coherence-convexity",
-        q["spatial_coherence"],
+        c_q,
         q["coherence_convex_bound"],
         "le",
         tol,
@@ -288,7 +327,7 @@ def check_ico_duality(
     )
     duality = RelationCheck(
         "ico-duality-sum",
-        q["spatial_coherence"] + q["distinguishability_bound"],
+        c_q + q["distinguishability_bound"],
         1.0,
         "le",
         tol,
@@ -371,16 +410,15 @@ def check_post_selected_duality(
 ) -> tuple[RelationCheck, RelationCheck]:
     """Conditional duality saturation, checked through three routes.
 
-    For each order-qubit outcome: the conditional coherence from the matrix
-    pipeline, the conditional distinguishability from the post-selected
-    detector ensemble, and the detector-overlap closed form must agree; the
-    check records the largest discrepancy among (duality sum - 1), gamma
-    and normalization mismatches.
+    For each order-qubit outcome: the conditional coherence of the outcome
+    state post_select builds from the branch pair, the conditional
+    distinguishability from its detector ensemble, and the detector-overlap
+    closed form must agree; the check records the largest discrepancy among
+    (duality sum - 1), gamma and normalization mismatches.
     """
     fp = fingerprint or scenario_fingerprint(scenario)
     closed = _post_selected_closed_form(scenario, basis_phase)
-    rho_tot = evolve_switch(scenario)
-    plus, minus = post_select(rho_tot, basis_phase)
+    plus, minus = post_select(scenario, basis_phase)
     n, d = scenario.n, scenario.detector_dim
     checks = []
     for result in (plus, minus):
@@ -411,21 +449,16 @@ def check_post_selection_mixture(
     tol: float = 1e-10,
     fingerprint: str | None = None,
 ) -> RelationCheck:
-    """Averaging the post-selected states over outcomes recovers the reduction.
+    """Summing the post-selected blocks over outcomes recovers the reduction.
 
-    Interference between causal orders cancels in the unconditional
-    average, so norm+ rho+ + norm- rho- must reproduce the order-traced
-    state entrywise.
+    Interference between causal orders cancels in the sum, so the
+    unnormalized phase-phi outcome blocks of the dense joint state must add
+    up, entrywise, to p rho_ab + (1 - p) rho_ba built from the branch pair.
+    No outcome is normalized.
     """
     fp = fingerprint or scenario_fingerprint(scenario)
-    rho_tot = evolve_switch(scenario)
-    rho_qd = reduce_state(rho_tot, "qd")
-    plus, minus = post_select(rho_tot, basis_phase)
-    mixture = np.zeros_like(rho_qd.matrix)
-    for result in (plus, minus):
-        if not result.degenerate:
-            mixture = mixture + result.probability * result.conditional_qd.matrix
-    deviation = float(np.abs(mixture - rho_qd.matrix).max())
+    blocks = contract_order(evolve_switch(scenario), order_basis(basis_phase))
+    deviation = float(np.abs(blocks.sum(axis=0) - sum(_weighted_branch_states(scenario))).max())
     return RelationCheck("post-selection-mixture", deviation, 0.0, "eq", tol, fp)
 
 
@@ -450,8 +483,8 @@ def nogo_counterexample(order_weight: float) -> NoGoCounterexample:
 def _duality_point(scenario: SwitchScenario) -> tuple[float, float, float]:
     """(spatial coherence, distinguishability bound, causal coherence) of one scenario."""
     q = spatial_summary(scenario)
-    rho_o = reduce_state(evolve_switch(scenario), "o")
-    return q["spatial_coherence"], q["distinguishability_bound"], l1_coherence(rho_o)
+    causal = l1_coherence(order_marginal(scenario))
+    return q["spatial_coherence"], q["distinguishability_bound"], causal
 
 
 # ---------------------------------------------------------------------------
@@ -521,27 +554,15 @@ def check_entropic_bound(
 ) -> tuple[EntropicReport, RelationCheck]:
     """Conditional-entropy uncertainty bound for the two order measurements.
 
-    For a pure global state the bound is 1 - H(O); otherwise the
-    memory-assisted form 1 + H(O|QD) applies (H(O|QD) may be negative).
+    The memory-assisted bound 1 + H(O|QD) (H(O|QD) may be negative) and the
+    report come from the branch pair, the entropies checked against the
+    bound from the blocks of the dense joint state.
     """
     fp = fingerprint or scenario_fingerprint(scenario)
+    report = _entropic_report(scenario)
     rho_tot = evolve_switch(scenario)
-    entropy_z = conditional_entropy_after_measurement(rho_tot, "z")
-    entropy_x = conditional_entropy_after_measurement(rho_tot, "x")
-    rho_o = reduce_state(rho_tot, "o")
-    order_entropy = von_neumann_entropy(rho_o)
-    bloch = order_bloch_norm(scenario.order_weight, l1_coherence(rho_o))
-    if rho_tot.is_pure(1e-10):
-        bound = 1.0 - order_entropy
-    else:
-        conditional = von_neumann_entropy(rho_tot) - von_neumann_entropy(
-            reduce_state(rho_tot, "qd")
-        )
-        bound = 1.0 + conditional
-    report = EntropicReport(entropy_z, entropy_x, bound, bloch, order_entropy)
-    check = RelationCheck(
-        "entropic-uncertainty", bound, entropy_z + entropy_x, "le", tol, fp
-    )
+    entropy_sum = sum(conditional_entropy_after_measurement(rho_tot, b) for b in "zx")
+    check = RelationCheck("entropic-uncertainty", report.bound, entropy_sum, "le", tol, fp)
     return report, check
 
 
@@ -553,36 +574,30 @@ def check_overlap_lemma(
 ) -> RelationCheck:
     """Detector-local invariance of causal-order discrimination.
 
-    Rotating the (n, d) amplitudes of both fixed-order branches by I (x) W
-    preserves all detector overlaps, hence the minimum-error guessing
-    probability.  The check also verifies that the order-basis blocks
-    (I (x) <k|) rho (I (x) |k>) of the joint state are exactly p rho_ab and
-    (1 - p) rho_ba, the classical-quantum ensemble that dephasing the order
-    qubit leaves.  The blocks are compared
-    directly: no dephased joint state is built, since its off-diagonal order
-    blocks are exactly zero.
+    Rotating both fixed-order branches by I (x) W, that is, every detector
+    unitary V_i to W V_i, preserves all detector overlaps, hence the
+    minimum-error guessing probability, computed from the Gram matrix of
+    each branch pair.  The check also verifies that the order-basis blocks
+    (I (x) <k|) rho (I (x) |k>) of the dense joint state are exactly p rho_ab
+    and (1 - p) rho_ba from the branch pair, the classical-quantum ensemble
+    that dephasing the order qubit leaves.
     """
     fp = fingerprint or scenario_fingerprint(scenario)
     w = np.asarray(detector_unitary, dtype=np.complex128)
     d = scenario.detector_dim
     if w.shape != (d, d) or not is_unitary(w):
         raise ValueError(f"detector unitary must be unitary of dimension {d}")
-    n = scenario.n
-    p = scenario.order_weight
-    states = [fixed_order_state(scenario, order) for order in CausalOrder]
-    baseline = helstrom_guess(DiscriminationProblem(p, *states))
-    rotated = [
-        pure_state_density(fixed_order_vector(scenario, order).reshape(n, d) @ w.T, (n, d))
-        for order in CausalOrder
-    ]
-    conjugated = helstrom_guess(DiscriminationProblem(p, *rotated))
+    marks = scenario.interaction
+    rotated = replace(scenario, interaction=replace(
+        marks, detector_unitaries=tuple(w @ v for v in marks.detector_unitaries)))
+    invariance = abs(_helstrom_guess(scenario) - _helstrom_guess(rotated))
     # the order-basis blocks of the joint state are the weighted fixed-order states
     blocks = contract_order(evolve_switch(scenario), np.eye(2, dtype=np.complex128))
-    expected = (p * states[0].matrix, (1.0 - p) * states[1].matrix)
     ensemble_deviation = max(
-        float(np.abs(block - want).max()) for block, want in zip(blocks, expected)
+        float(np.abs(block - want).max())
+        for block, want in zip(blocks, _weighted_branch_states(scenario))
     )
-    deviation = max(abs(baseline - conjugated), ensemble_deviation)
+    deviation = max(invariance, ensemble_deviation)
     return RelationCheck("helstrom-overlap-invariance", deviation, 0.0, "eq", tol, fp)
 
 
@@ -594,16 +609,11 @@ def check_overlap_lemma(
 def scenario_quantities(
     scenario: SwitchScenario, basis_phase: float = 0.0
 ) -> dict[str, float]:
-    """Every scalar quantity of interest for one scenario, pipeline-computed."""
+    """Every scalar quantity of interest for one scenario, from the branch pair and K."""
     quantities = dict(spatial_summary(scenario))
-    rho_o = reduce_state(evolve_switch(scenario), "o")
+    rho_o = order_marginal(scenario)
     p_plus, p_minus = order_interference(rho_o, basis_phase)
-    report, _ = check_entropic_bound(scenario)
-    problem = DiscriminationProblem(
-        scenario.order_weight,
-        fixed_order_state(scenario, CausalOrder.A_THEN_B),
-        fixed_order_state(scenario, CausalOrder.B_THEN_A),
-    )
+    report = _entropic_report(scenario)
     quantities.update(
         {
             "causal_coherence": l1_coherence(rho_o),
@@ -616,7 +626,7 @@ def scenario_quantities(
             "entropy_x": report.entropy_x,
             "entropic_bound": report.bound,
             "entropic_slack": report.slack,
-            "helstrom_guess": helstrom_guess(problem),
+            "helstrom_guess": _helstrom_guess(scenario),
         }
     )
     return quantities
@@ -633,7 +643,8 @@ def verify_scenario(
     Identity-grade checks (mixture reconstruction, detector invariance,
     causal duality) run at tol/10; everything else at tol.  The detector
     unitary and the post-selection phase for the randomized checks are
-    derived deterministically from the scenario fingerprint.
+    derived deterministically from the scenario fingerprint.  The dense
+    joint state, its reductions and blocks are the checks' second route.
     """
     fp = scenario_fingerprint(scenario, seed)
     tight = tol / 10.0
@@ -644,7 +655,7 @@ def verify_scenario(
     ]
     checks.extend(check_ico_duality(scenario, tol, fp))
 
-    rho_o = reduce_state(evolve_switch(scenario), "o")
+    rho_o = reduce_state(evolve_switch(scenario), "o")  # the dense route's order qubit
     checks.append(
         RelationCheck(
             "causal-visibility",
@@ -656,13 +667,12 @@ def verify_scenario(
         )
     )
     if scenario.has_pure_order():
-        duality = causal_duality(
-            scenario.order_weight,
-            fixed_order_vector(scenario, CausalOrder.A_THEN_B),
-            fixed_order_vector(scenario, CausalOrder.B_THEN_A),
-        )
+        # C + D = 1 inside the Ivanovic-Dieks-Peres window, C + D <= 1 outside
+        problem = (scenario.order_weight, *scenario._branches)
+        kind = "eq" if uqsd_two_pure(*problem).idp_regime else "le"
+        duality = causal_duality(*problem)
         checks.append(
-            RelationCheck("causal-duality-sum", duality.total, 1.0, "eq", tight, fp)
+            RelationCheck("causal-duality-sum", duality.total, 1.0, kind, tight, fp)
         )
 
     random_phase = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -672,11 +682,12 @@ def verify_scenario(
 
     report, entropic = check_entropic_bound(scenario, tol, fp)
     checks.append(entropic)
+    bloch = order_bloch_norm(scenario.order_weight, l1_coherence(rho_o))
     checks.append(
         RelationCheck(
             "order-entropy-consistency",
             report.order_entropy,
-            binary_entropy((1.0 + report.bloch_norm) / 2.0),
+            binary_entropy((1.0 + bloch) / 2.0),
             "eq",
             tol,
             fp,

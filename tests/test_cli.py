@@ -168,14 +168,41 @@ def test_invalid_flag_is_config_error(flag, value, capsys):
         ["sweep", "--axis", "p:0:1:3", "--alpha", "2"],
         ["sweep", "--axis", "p:0:1:3", "--tol", "1"],
         ["sweep", "--axis", "p:0:1:3", "--samples", "2"],
+        ["verify", "--samples", "0", "--overlap", "0.5"],
+        ["run", "--scenario", "no-marking", "extra"],
+        ["sweep", "--axis", "p:0:1:3", "--seed", "1", "--format", "csv", "--theta", "1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_command_rejects_flags_it_does_not_read(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: switchlab {argv[0]} ")
+    assert "config error: unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["verify", "--format", "xml"], "usage: switchlab verify "),
+        (["run", "--seed", "abc"], "usage: switchlab run "),
+        (["region", "--axis"], "usage: switchlab region "),
+        (["bogus"], "usage: switchlab [-h]"),
+        ([], "usage: switchlab [-h]"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_usage_error_returns_2_with_the_command_usage(argv, usage, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage) and "config error:" in err
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(["region", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: switchlab region ")
 
 
 def test_largest_seed_is_accepted(tmp_path):
@@ -399,7 +426,7 @@ def test_region_axis_override(tmp_path):
 
 
 def test_near_degenerate_order_outcome_runs(tmp_path):
-    """run and sweep pass where an x outcome has probability 1e-10 to 1e-8."""
+    """run, sweep and verify pass where an x outcome has probability 1e-10 to 1e-8."""
     config = dict(
         ORTHOGONAL_BRANCH_CONFIG,
         probabilities=[0.5, 0.5],
@@ -413,6 +440,11 @@ def test_near_degenerate_order_outcome_runs(tmp_path):
     path = tmp_path / "near_degenerate.json"
     path.write_text(json.dumps(config))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "run.csv")]) == 0
+    verified = tmp_path / "verify.csv"
+    assert main(["verify", "--scenario", str(path), "--samples", "0", "--out", str(verified)]) == 0
+    assert {"post-selected-duality:+", "post-selected-duality:-"} <= {
+        row["check"] for row in _read_csv(verified)
+    }
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--scenario", "full-marking", "--axis", "p:0.4999:0.5001:41", "--out", str(out)]) == 0
     assert len(_read_csv(out)) == 41

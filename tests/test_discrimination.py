@@ -9,7 +9,7 @@ from switchlab.discrimination import (
     uqsd_two_pure,
 )
 from switchlab.linalg import DensityOperator, kron, pure_state_density, trace_norm
-from switchlab.model import CausalOrder, fixed_order_state, fixed_order_vector
+from switchlab.model import CausalOrder, fixed_order_vector
 from switchlab.relations import random_scenario
 
 from conftest import random_density, random_pure_vector, random_unitary
@@ -82,8 +82,7 @@ def test_helstrom_joint_unitary_invariance(rng):
 def test_helstrom_detector_local_invariance(rng):
     scn = random_scenario(19, n_paths=2, detector_dim=3)
     dims = (2, 3)
-    rho_a = fixed_order_state(scn, CausalOrder.A_THEN_B)
-    rho_b = fixed_order_state(scn, CausalOrder.B_THEN_A)
+    rho_a, rho_b = (pure_state_density(fixed_order_vector(scn, order), dims) for order in CausalOrder)
     w = kron(np.eye(2), random_unitary(3, rng))
     before = helstrom_guess(DiscriminationProblem(scn.order_weight, rho_a, rho_b))
     after = helstrom_guess(
@@ -204,3 +203,24 @@ def test_causal_duality_sums_to_one(rng):
         p = rng.uniform(lo + 1e-6, 1 - lo - 1e-6)
         report = causal_duality(p, a, b)
         assert abs(report.total - 1.0) <= 1e-10
+
+
+def test_causal_duality_falls_short_of_one_outside_the_window(rng):
+    outside = 0
+    for _ in range(200):
+        a = random_pure_vector(3, rng)
+        b = random_pure_vector(3, rng)
+        p = rng.uniform(0.01, 0.99)
+        s = abs(np.vdot(a, b))
+        report = causal_duality(p, a, b)
+        # the numeric POVM search is a third route to the distinguishability
+        assert report.distinguishability == pytest.approx(uqsd_numeric_oracle(p, a, b), abs=1e-6)
+        if uqsd_two_pure(p, a, b).idp_regime:
+            assert abs(report.total - 1.0) <= 1e-12 and report.saturated
+            continue
+        outside += 1
+        likely, unlikely = max(p, 1 - p), min(p, 1 - p)
+        shortfall = (np.sqrt(unlikely) - s * np.sqrt(likely)) ** 2
+        assert 1.0 - report.total == pytest.approx(shortfall, abs=1e-12)
+        assert report.total <= 1.0 + 1e-12
+    assert outside > 20

@@ -347,7 +347,7 @@ def test_conditional_entropy_matches_dephased_state_with_degenerate_outcome():
             got = conditional_entropy_after_measurement(rho_tot, basis)
             assert abs(got - want) <= 1e-12
     # the x outcome '-' of the flagship state has probability zero
-    assert post_select(evolve_switch(explicit_realization()), 0.0)[1].degenerate
+    assert post_select(explicit_realization(), 0.0)[1].degenerate
 
 
 @pytest.mark.parametrize("order_weight", [0.50001, 0.4999, 0.5001])

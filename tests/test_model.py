@@ -17,14 +17,19 @@ from switchlab.model import (
     branch_overlap,
     build_switch_unitary,
     build_which_path_unitary,
+    contract_order,
     evolve_switch,
     explicit_realization,
     fixed_order_state,
     fixed_order_vector,
+    full_marking,
+    gram_spectrum,
     initial_state,
     interference_unitary,
     measure_order,
     no_marking,
+    order_basis,
+    order_marginal,
     post_select,
     reduce_state,
 )
@@ -33,6 +38,11 @@ from switchlab.relations import random_scenario
 from conftest import random_unitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _branch_state(scn, order):
+    """Pure (n, d) density operator of one definite-order branch."""
+    return fixed_order_state(scn, order)
 
 
 def _commuting_scenario(rng, order_weight=0.4, order_phase=0.9):
@@ -193,6 +203,60 @@ def test_evolve_switch_matches_switch_unitary_conjugation(seed, n, d, mixed):
     assert np.abs(evolve_switch(scn).matrix - want).max() <= 1e-12
 
 
+def _padded(spectrum, dim):
+    """A 2x2 Gram spectrum, padded with the zeros of the (n d)-dim operator."""
+    return np.sort(np.concatenate([spectrum, np.zeros(dim - 2)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.booleans(),
+    st.floats(0.0, 2 * np.pi),
+)
+def test_gram_core_matches_dense_route(seed, n, d, mixed, phi):
+    scn = random_scenario(seed, n_paths=n, detector_dim=d, mixed_order=mixed)
+    p, k = scn.order_weight, scn.order_state()
+    rho_tot = evolve_switch(scn)
+    rho_qd = reduce_state(rho_tot, "qd")
+    # spec rho = spec K: the joint state is K on the span of its two columns
+    assert np.abs(_padded(np.linalg.eigvalsh(k), 2 * n * d) - rho_tot.spectrum).max() <= 1e-12
+    assert np.abs(order_marginal(scn) - reduce_state(rho_tot, "o").matrix).max() <= 1e-12
+    qd = gram_spectrum(scn, np.diag([p, 1 - p]))
+    assert np.abs(_padded(qd, n * d) - rho_qd.spectrum).max() <= 1e-12
+    ab, ba = (fixed_order_vector(scn, order) for order in CausalOrder)
+    helstrom = p * np.outer(ab, ab.conj()) - (1 - p) * np.outer(ba, ba.conj())
+    spectrum = _padded(gram_spectrum(scn, np.diag([p, p - 1])), n * d)
+    assert np.abs(spectrum - np.linalg.eigvalsh(helstrom)).max() <= 1e-12
+    vectors = order_basis(phi)
+    blocks = contract_order(rho_tot, vectors)
+    weights = np.conj(vectors)[:, :, None] * k * vectors[:, None, :]
+    for block, spectrum, result in zip(blocks, gram_spectrum(scn, weights), post_select(scn, phi)):
+        assert np.abs(_padded(spectrum, n * d) - np.linalg.eigvalsh(block)).max() <= 1e-12
+        assert abs(result.probability - np.trace(block).real) <= 1e-12
+        if not result.degenerate:
+            state = result.probability * result.conditional_qd.matrix
+            assert np.abs(state - block).max() <= 1e-12
+
+
+def test_outcome_states_are_built_from_the_branch_pair(monkeypatch):
+    """A near-degenerate outcome is a valid state: W W^dagger / p_u, no dense block."""
+
+    def forbidden(*args):
+        raise AssertionError("dense joint state used")
+
+    monkeypatch.setattr(model, "contract_order", forbidden)
+    monkeypatch.setattr(model, "build_which_path_unitary", forbidden)
+    for weight in (0.50001, 0.4999, 0.5001):
+        plus, minus = post_select(full_marking(weight), 0.0)
+        assert 1e-12 < minus.probability < 1e-7 and not minus.degenerate
+        for result in (plus, minus):
+            assert np.trace(result.conditional_qd.matrix).real == pytest.approx(1.0, abs=1e-12)
+            assert result.conditional_qd.spectrum.min() >= -1e-15
+
+
 def test_fixed_order_vector_builds_no_joint_unitary(monkeypatch):
     def forbidden(*args):
         raise AssertionError("joint-space unitary built")
@@ -233,6 +297,20 @@ def test_fixed_order_states_are_memoized_per_instance():
         assert fixed_order_state(moved, order) is not state
 
 
+def test_gram_core_is_memoized_per_instance():
+    scn = random_scenario(23, mixed_order=True)
+    gram, root = scn._gram
+    assert scn._gram[0] is gram and scn._gram[1] is root
+    assert not gram.flags.writeable and not root.flags.writeable
+    branches = np.stack([fixed_order_vector(scn, order) for order in CausalOrder], axis=1)
+    assert_allclose(gram, branches.conj().T @ branches, atol=1e-15)
+    assert_allclose(root @ root, gram, atol=1e-15)
+    for order in CausalOrder:
+        assert fixed_order_vector(scn, order.value) is fixed_order_vector(scn, order)
+    moved = dataclasses.replace(scn, order_phase=0.5)
+    assert moved._gram[0] is not gram
+
+
 # ---------------------------------------------------------------------------
 # evolution and reductions
 # ---------------------------------------------------------------------------
@@ -245,7 +323,7 @@ def test_evolve_definite_orders(rng):
             scn.preparation, scn.interaction, scn.interference, p, scn.order_phase
         )
         rho_tot = evolve_switch(definite)
-        branch = fixed_order_state(definite, order)
+        branch = _branch_state(definite, order)
         pointer = np.zeros((2, 2))
         pointer[slot, slot] = 1.0
         assert_allclose(
@@ -273,8 +351,8 @@ def test_evolve_matches_branch_superposition(rng):
 
 def test_fixed_order_commuting_sector_agrees(rng):
     scn = _commuting_scenario(rng)
-    rho_ab = fixed_order_state(scn, CausalOrder.A_THEN_B)
-    rho_ba = fixed_order_state(scn, CausalOrder.B_THEN_A)
+    rho_ab = _branch_state(scn, CausalOrder.A_THEN_B)
+    rho_ba = _branch_state(scn, CausalOrder.B_THEN_A)
     assert trace_norm(rho_ab.matrix - rho_ba.matrix) < 1e-9
 
 
@@ -327,8 +405,8 @@ def test_reduce_qd_is_convex_mixture():
         rho_qd = reduce_state(evolve_switch(scn), "qd")
         p = scn.order_weight
         mix = (
-            p * fixed_order_state(scn, CausalOrder.A_THEN_B).matrix
-            + (1 - p) * fixed_order_state(scn, CausalOrder.B_THEN_A).matrix
+            p * _branch_state(scn, CausalOrder.A_THEN_B).matrix
+            + (1 - p) * _branch_state(scn, CausalOrder.B_THEN_A).matrix
         )
         assert np.abs(rho_qd.matrix - mix).max() < 1e-10
 
@@ -349,13 +427,13 @@ def test_reduce_rejects_bad_input(rng):
 
 
 def test_post_select_without_causal_coherence_is_even():
-    plus, minus = post_select(evolve_switch(_orthogonal_branch_scenario()), 0.0)
+    plus, minus = post_select(_orthogonal_branch_scenario(), 0.0)
     assert plus.probability == pytest.approx(0.5, abs=1e-12)
     assert minus.probability == pytest.approx(0.5, abs=1e-12)
 
 
 def test_post_select_flagship_degenerate_minus():
-    plus, minus = post_select(evolve_switch(explicit_realization()), 0.0)
+    plus, minus = post_select(explicit_realization(), 0.0)
     assert plus.probability == pytest.approx(1.0, abs=1e-12)
     assert minus.degenerate and minus.conditional_qd is None and minus.gamma is None
     assert not plus.degenerate
@@ -366,7 +444,7 @@ def test_post_select_outcome_average_recovers_reduction():
         scn = random_scenario(seed)
         rho_tot = evolve_switch(scn)
         rho_qd = reduce_state(rho_tot, "qd")
-        plus, minus = post_select(rho_tot, 1.3)
+        plus, minus = post_select(scn, 1.3)
         mixture = np.zeros_like(rho_qd.matrix)
         for res in (plus, minus):
             if not res.degenerate:
@@ -376,16 +454,15 @@ def test_post_select_outcome_average_recovers_reduction():
 
 def test_post_select_probabilities_sum_to_one(rng):
     scn = random_scenario(41)
-    rho_tot = evolve_switch(scn)
     for phi in rng.uniform(0, 2 * np.pi, 12):
-        plus, minus = post_select(rho_tot, phi)
+        plus, minus = post_select(scn, phi)
         assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-10)
 
 
 def test_post_select_near_degenerate_outcome_stays_valid():
     # p_minus is about 1.6e-8 here: small enough that forming P rho P in
     # one contraction once left a conditional eigenvalue below -PSD_TOL
-    plus, minus = post_select(evolve_switch(explicit_realization()), 2.5292014667599753e-4)
+    plus, minus = post_select(explicit_realization(), 2.5292014667599753e-4)
     for result in (plus, minus):
         assert not result.degenerate
         assert np.trace(result.conditional_qd.matrix).real == pytest.approx(1.0, abs=1e-10)
@@ -403,9 +480,8 @@ def test_post_select_reduces_quanton_state_on_first_read(monkeypatch):
         return eigvalsh(m)
 
     scn = random_scenario(37, n_paths=3, detector_dim=4, mixed_order=True)
-    rho_tot = evolve_switch(scn)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    plus, minus = post_select(rho_tot, 0.8)
+    plus, minus = post_select(scn, 0.8)
     assert calls == [(12, 12), (12, 12)]
     assert not plus.degenerate and not minus.degenerate
     gamma = plus.gamma
@@ -419,17 +495,16 @@ def test_post_select_reduces_quanton_state_on_first_read(monkeypatch):
 
 def test_order_factor_is_contracted_without_kronecker_projectors(monkeypatch):
     scn = random_scenario(29, mixed_order=True)
-    rho_tot = evolve_switch(scn)
     p = scn.order_weight
-    rho_ab = fixed_order_state(scn, CausalOrder.A_THEN_B).matrix
-    rho_ba = fixed_order_state(scn, CausalOrder.B_THEN_A).matrix
+    rho_ab = _branch_state(scn, CausalOrder.A_THEN_B).matrix
+    rho_ba = _branch_state(scn, CausalOrder.B_THEN_A).matrix
 
     def forbidden(*args):
         raise AssertionError("Kronecker product formed")
 
     monkeypatch.setattr(np, "kron", forbidden)
-    plus, minus = post_select(rho_tot, 0.4)
-    zero, one = measure_order(rho_tot, np.eye(2, dtype=complex))
+    plus, minus = post_select(scn, 0.4)
+    zero, one = measure_order(scn, np.eye(2, dtype=complex))
     monkeypatch.undo()
     assert (plus.outcome, minus.outcome) == ("+", "-")
     assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-12)

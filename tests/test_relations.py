@@ -2,10 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import switchlab.linalg as linalg
 import switchlab.model as model
 import switchlab.relations as relations
-from switchlab.measures import binary_entropy
+from switchlab.discrimination import DiscriminationProblem, helstrom_guess
+from switchlab.linalg import partial_trace, pure_state_density, von_neumann_entropy
+from switchlab.measures import binary_entropy, conditional_entropy_after_measurement, l1_coherence
 from switchlab.model import (
     CausalOrder,
     PathPreparation,
@@ -104,7 +109,7 @@ def test_post_selected_duality_without_causal_coherence():
     scn = SwitchScenario(prep, wp, flip.copy(), 0.5, 0.0)
     rho_o = reduce_state(evolve_switch(scn), "o")
     assert abs(rho_o.matrix[0, 1]) < 1e-12
-    plus, minus = post_select(evolve_switch(scn), 0.0)
+    plus, minus = post_select(scn, 0.0)
     assert plus.probability == pytest.approx(0.5, abs=1e-12)
     assert minus.probability == pytest.approx(0.5, abs=1e-12)
     assert abs(plus.gamma) == pytest.approx(0.5, abs=1e-12)  # eraser: C = 1
@@ -395,3 +400,75 @@ def test_battery_deterministic_values():
     assert [(c.name, c.lhs, c.rhs) for c in first] == [
         (c.name, c.lhs, c.rhs) for c in second
     ]
+
+
+# ---------------------------------------------------------------------------
+# the library quantities come from the branch pair and K alone
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.booleans(),
+    st.floats(0.0, 2 * np.pi),
+)
+def test_scenario_quantities_match_dense_route(seed, n, d, mixed, phi):
+    scn = random_scenario(seed, n_paths=n, detector_dim=d, mixed_order=mixed)
+    q = scenario_quantities(scn, phi)
+    rho_tot = evolve_switch(scn)
+    rho_o = reduce_state(rho_tot, "o")
+    rho_qd = reduce_state(rho_tot, "qd")
+    p = scn.order_weight
+    branches = [pure_state_density(model.fixed_order_vector(scn, o), (n, d)) for o in CausalOrder]
+    dense = {
+        "spatial_coherence": l1_coherence(reduce_state(rho_tot, "q").matrix, n),
+        "causal_coherence": l1_coherence(rho_o),
+        "p_plus": model.order_basis(phi)[0].conj() @ rho_o.matrix @ model.order_basis(phi)[0],
+        "order_entropy": von_neumann_entropy(rho_o),
+        "entropy_z": conditional_entropy_after_measurement(rho_tot, "z"),
+        "entropy_x": conditional_entropy_after_measurement(rho_tot, "x"),
+        "entropic_bound": 1 + von_neumann_entropy(rho_tot) - von_neumann_entropy(rho_qd),
+        "helstrom_guess": helstrom_guess(DiscriminationProblem(p, *branches)),
+    }
+    for name, value in dense.items():
+        assert abs(q[name] - value) <= 1e-12, name
+    for o, state in zip(CausalOrder, branches):
+        coherence = l1_coherence(partial_trace(state, (0,)), n)
+        assert abs(q[f"coherence_{o.value.replace('-', '_')}"] - coherence) <= 1e-12
+
+
+def test_library_path_forms_nothing_larger_than_n_by_n(monkeypatch):
+    eigen = []
+
+    def small_only(decompose):
+        def checked(m, *args, **kwargs):
+            assert np.shape(m)[-2:] <= (2, 2), np.shape(m)
+            eigen.append(np.shape(m))
+            return decompose(m, *args, **kwargs)
+
+        return checked
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense route used")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", small_only(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", small_only(np.linalg.eigh))
+    monkeypatch.setattr(linalg.DensityOperator, "__post_init__", forbidden)
+    for owner in (model, relations):
+        monkeypatch.setattr(owner, "evolve_switch", forbidden)
+    monkeypatch.setattr(model, "build_which_path_unitary", forbidden)
+    q = scenario_quantities(random_scenario(11, 4, 4, mixed_order=True), 0.3)
+    assert 0.0 <= q["causal_coherence"] <= 1.0
+    assert len(region_sweep(3, 3)) == 9
+    assert nogo_counterexample(0.3).causal_coherence > 0.0
+    assert eigen and all(shape[-2:] == (2, 2) for shape in eigen)
+
+
+def test_scenario_quantities_reach_sizes_the_dense_route_cannot():
+    # the joint state here would be 8192 x 8192 complex entries (1 GiB)
+    q = scenario_quantities(random_scenario(0, 64, 64, mixed_order=True))
+    assert q["entropic_slack"] >= -1e-9
+    assert 0.0 <= q["spatial_coherence"] <= q["coherence_convex_bound"] + 1e-9
